@@ -4,6 +4,7 @@ Basis convention: |n_a, n_b> maps to row index n_a * (n_max_b + 1) + n_b,
 i.e. mode A is the slow (outer) index of the Kronecker product.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,8 +82,14 @@ def mode_operator(spec: HilbertSpec, mode: str, op: np.ndarray) -> np.ndarray:
     return tensor(identity(spec.n_max_a + 1), op)
 
 
+@functools.lru_cache(maxsize=16)
 def mode_annihilators(spec: HilbertSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The embedded annihilation operators (a, b) of both modes."""
+    """The embedded annihilation operators (a, b) of both modes.
+
+    Cached per space and shared between callers, so both are read-only.
+    """
     a = mode_operator(spec, "a", destroy(spec.n_max_a))
     b = mode_operator(spec, "b", destroy(spec.n_max_b))
+    a.setflags(write=False)
+    b.setflags(write=False)
     return a, b

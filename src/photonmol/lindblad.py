@@ -1,7 +1,11 @@
 """Exact steady state of the dissipative dynamics and photon-statistics
 observables."""
 
+import ctypes
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +20,78 @@ _G2_FLOOR = 1e-300
 
 # Trace drift per integration step signalling an unstable step size.
 _TRACE_DRIFT_LIMIT = 1e-6
+
+
+# Thread-count entry points as OpenBLAS builds name them: the copies
+# vendored by numpy (64-bit integers) and scipy are prefixed "scipy_".
+_OPENBLAS_THREAD_SYMBOLS = tuple(
+    (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+    for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", "")
+)
+
+
+@functools.cache
+def _openblas_controls() -> tuple:
+    """(get, set) thread-count functions of every OpenBLAS library the
+    process has loaded; numpy and scipy each bring their own copy. Found
+    once, on first use, from the process's memory map; empty where that
+    map cannot be read or no OpenBLAS is loaded."""
+    try:
+        with open("/proc/self/maps") as handle:
+            paths = sorted({line.split()[-1] for line in handle
+                            if "openblas" in os.path.basename(line.split()[-1])})
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                getter, setter = getattr(lib, get_name), getattr(lib, set_name)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                controls.append((getter, setter))
+                break
+    return tuple(controls)
+
+
+class _SingleThreadedBlas:
+    """Context manager running its block with every loaded OpenBLAS pinned
+    to one thread.
+
+    Small dense solves lose more to waking BLAS threads than they gain, and
+    solves running in several threads at once oversubscribe the cores. The
+    pin is reference-counted across threads: the first solve to enter saves
+    the thread counts, and the last to leave restores them. Does nothing
+    where no OpenBLAS is found.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._users = 0
+        self._saved = []
+
+    def __enter__(self):
+        with self._lock:
+            if self._users == 0:
+                self._saved = [(setter, getter())
+                               for getter, setter in _openblas_controls()]
+                for setter, _ in self._saved:
+                    setter(1)
+            self._users += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._users -= 1
+            if self._users == 0:
+                for setter, count in self._saved:
+                    setter(count)
+
+
+_single_threaded_blas = _SingleThreadedBlas()
 
 
 @dataclass(frozen=True)
@@ -37,7 +113,8 @@ def steady_state(liouv: np.ndarray) -> np.ndarray:
 
     One row of L vec(rho) = 0 is replaced by the trace constraint and the
     square system solved directly; the result is Hermitized and
-    trace-normalized.
+    trace-normalized. The solve runs on single-threaded BLAS and restores
+    the caller's BLAS thread counts on return.
     """
     size = liouv.shape[0]
     dim = int(round(math.sqrt(size)))
@@ -46,25 +123,26 @@ def steady_state(liouv: np.ndarray) -> np.ndarray:
     system[0, :: dim + 1] = 1.0  # trace row
     rhs = np.zeros(size, dtype=complex)
     rhs[0] = 1.0
-    try:
-        lu = scipy.linalg.lu_factor(system)
-        solution = scipy.linalg.lu_solve(lu, rhs)
-        for _ in range(2):  # iterative refinement tightens tiny populations
-            solution += scipy.linalg.lu_solve(lu, rhs - system @ solution)
-    except (scipy.linalg.LinAlgError, ValueError) as err:
-        raise SolverError(f"steady-state system is singular: {err}") from err
-    rho = unvec(solution)
-    rho = 0.5 * (rho + rho.conj().T)
-    rho /= np.trace(rho).real
+    with _single_threaded_blas:
+        try:
+            lu = scipy.linalg.lu_factor(system)
+            solution = scipy.linalg.lu_solve(lu, rhs)
+            for _ in range(2):  # iterative refinement tightens tiny populations
+                solution += scipy.linalg.lu_solve(lu, rhs - system @ solution)
+        except (scipy.linalg.LinAlgError, ValueError) as err:
+            raise SolverError(f"steady-state system is singular: {err}") from err
+        rho = unvec(solution)
+        rho = 0.5 * (rho + rho.conj().T)
+        rho /= np.trace(rho).real
 
-    residual = np.max(np.abs(liouv @ vec(rho)))
-    tol = 1e-10 * max(np.max(np.abs(liouv)), 1.0)
-    if residual > tol:
-        cond = np.linalg.cond(system)
-        raise SolverError(
-            f"steady-state solve ill-conditioned: residual {residual:.3e} "
-            f"exceeds {tol:.3e} (condition number ~{cond:.3e})"
-        )
+        residual = np.max(np.abs(liouv @ vec(rho)))
+        tol = 1e-10 * max(np.max(np.abs(liouv)), 1.0)
+        if residual > tol:
+            cond = np.linalg.cond(system)
+            raise SolverError(
+                f"steady-state solve ill-conditioned: residual {residual:.3e} "
+                f"exceeds {tol:.3e} (condition number ~{cond:.3e})"
+            )
     return rho
 
 

@@ -5,10 +5,13 @@ scale kappa; the model lives in the frame rotating at the shared drive
 frequency, so only detunings appear.
 """
 
+import functools
 import math
+import operator
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
+import scipy.sparse
 
 from .fock import HilbertSpec, mode_annihilators
 
@@ -18,6 +21,8 @@ PARAM_FIELDS = (
     "delta_a", "delta_b", "coupling_j", "u_a", "u_b",
     "eps_a", "eps_b", "phi_a", "phi_b", "kappa_a", "kappa_b",
 )
+
+_param_values = operator.attrgetter(*PARAM_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -45,6 +50,10 @@ class SystemParams:
     kappa_b: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, _param_values(self))):
+            bad = [f"{name}={getattr(self, name)}" for name in PARAM_FIELDS
+                   if not math.isfinite(getattr(self, name))]
+            raise ValueError(f"parameters must be finite: {', '.join(bad)}")
         if self.kappa_a <= 0 or self.kappa_b <= 0:
             raise ValueError("dissipation rates must be positive")
         if self.eps_a < 0 or self.eps_b < 0:
@@ -57,10 +66,17 @@ class SystemParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SystemParams":
+        if not isinstance(data, dict):
+            raise ValueError(f"parameters must be a JSON object, got "
+                             f"{type(data).__name__}")
         unknown = set(data) - set(PARAM_FIELDS)
         if unknown:
             raise ValueError(f"unknown parameter fields: {sorted(unknown)}")
-        return cls(**{k: float(v) for k, v in data.items()})
+        try:
+            values = {k: float(v) for k, v in data.items()}
+        except (TypeError, ValueError, OverflowError) as err:
+            raise ValueError(f"parameter values must be numbers: {err}") from None
+        return cls(**values)
 
     def replace(self, **changes) -> "SystemParams":
         return replace(self, **changes)
@@ -149,20 +165,86 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return v.reshape((dim, dim), order="F")
 
 
+def _kron_entries(op_a: np.ndarray, op_b: np.ndarray, size: int):
+    """Flat indices into a size x size matrix and values of the nonzero
+    entries of kron(op_a, op_b), by index arithmetic on both factors'
+    nonzeros."""
+    dim = op_b.shape[0]
+    ia, ja = np.nonzero(op_a)
+    ib, jb = np.nonzero(op_b)
+    rows = ia[:, None] * dim + ib[None, :]
+    cols = ja[:, None] * dim + jb[None, :]
+    values = op_a[ia, ja][:, None] * op_b[ib, jb][None, :]
+    return (rows * size + cols).ravel(), values.ravel()
+
+
+@functools.lru_cache(maxsize=16)
+def _liouvillian_table(spec: HilbertSpec) -> tuple[np.ndarray, scipy.sparse.csr_array]:
+    """Affine decomposition of the generator on one Hilbert space.
+
+    L is linear in the coefficients returned by _liouvillian_coefficients().
+    Returns the flat indices of L's structurally nonzero entries and a
+    sparse (positions x coefficients) table holding each coefficient's
+    generator at those entries, so that L.flat[positions] = table @
+    coefficients. Built from the nonzeros of the Kronecker factors, never
+    a dense generator. The sparse product runs without BLAS, so its
+    result does not depend on the BLAS thread count. Cached and shared
+    between callers, who must not modify it.
+    """
+    a, b = mode_annihilators(spec)
+    ad, bd = a.conj().T, b.conj().T
+    eye = np.eye(spec.dim, dtype=complex)
+
+    def commutator(op):  # rho -> -i [op, rho]
+        return [(eye, op, -1j), (op.T, eye, 1j)]
+
+    def dissipator(c):  # rho -> D[c] rho
+        cdc = c.conj().T @ c
+        return [(c.conj(), c, 1.0), (eye, cdc, -0.5), (cdc.T, eye, -0.5)]
+
+    generators = [
+        commutator(op) for op in (
+            ad @ a, bd @ b, a @ bd + ad @ b, ad @ ad @ a @ a, bd @ bd @ b @ b,
+            ad, a, bd, b,
+        )
+    ] + [dissipator(a), dissipator(b)]
+
+    size = spec.dim**2
+    flat, column, values = [], [], []
+    for k, terms in enumerate(generators):
+        for op_a, op_b, scale in terms:
+            where, value = _kron_entries(op_a, op_b, size)
+            flat.append(where)
+            column.append(np.full(where.size, k))
+            values.append(scale * value)
+    positions, slot = np.unique(np.concatenate(flat), return_inverse=True)
+    table = scipy.sparse.csr_array(  # sums the terms landing on one entry
+        (np.concatenate(values), (slot, np.concatenate(column))),
+        shape=(positions.size, len(generators)),
+    )
+    table.eliminate_zeros()
+    positions.setflags(write=False)
+    return positions, table
+
+
+def _liouvillian_coefficients(params: SystemParams) -> np.ndarray:
+    """Coefficients of the generators of _liouvillian_table(), in its order."""
+    drive_a = params.eps_a * np.exp(1j * params.phi_a)
+    drive_b = params.eps_b * np.exp(1j * params.phi_b)
+    return np.array([
+        params.delta_a, params.delta_b, params.coupling_j,
+        params.u_a, params.u_b,
+        drive_a, np.conj(drive_a), drive_b, np.conj(drive_b),
+        params.kappa_a, params.kappa_b,
+    ], dtype=complex)
+
+
 def liouvillian(params: SystemParams, spec: HilbertSpec) -> np.ndarray:
     """Generator of d(vec rho)/dt = L vec(rho): commutator with the Hamiltonian
     plus a dissipator kappa_x * D[x] for each mode, in column-stacking
-    convention."""
-    h = hamiltonian(params, spec)
-    a, b = mode_annihilators(spec)
-    dim = h.shape[0]
-    eye = np.eye(dim, dtype=complex)
-    liouv = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for rate, c in ((params.kappa_a, a), (params.kappa_b, b)):
-        cdc = c.conj().T @ c
-        liouv += rate * (
-            np.kron(c.conj(), c)
-            - 0.5 * np.kron(eye, cdc)
-            - 0.5 * np.kron(cdc.T, eye)
-        )
-    return liouv
+    convention. Returned as a fresh dense array."""
+    positions, table = _liouvillian_table(spec)
+    size = spec.dim**2
+    liouv = np.zeros(size * size, dtype=complex)
+    liouv[positions] = table @ _liouvillian_coefficients(params)
+    return liouv.reshape(size, size)

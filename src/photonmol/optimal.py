@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, minimize
 
-from .amplitude import one_photon_amplitudes  # noqa: F401  (re-exported for cross-checks)
 from .errors import SolverError
 from .model import symmetric_params
 from .solvers import SOLVER_FULL_TRUNCATED, evaluate_point, normalize_solver
@@ -256,6 +255,8 @@ def numeric_optimum(
     closer than 1e-12 prefer the weaker nonlinearity.
     """
     solver = normalize_solver(solver)
+    if grid_points < 1:
+        raise ValueError(f"grid_points must be at least 1, got {grid_points}")
     if eps_a is None:
         eps_a = 0.01 * kappa
 

@@ -10,6 +10,7 @@ the point's current drive ratio.
 import csv
 import json
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -17,6 +18,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import SolverError
+from .fock import HilbertSpec
 from .model import SystemParams, drive_ratios
 from .optimal import dual_drive_optimum_asymptotic, single_drive_optimum
 from .solvers import DEFAULT_N_MAX, evaluate_point, normalize_solver
@@ -52,6 +54,13 @@ CONSTRAINT_RULES = {
 }
 
 
+_AXIS_REQUIRED = ("parameter", "min", "max", "count")
+_AXIS_FIELDS = _AXIS_REQUIRED + ("scale",)
+
+_CONFIG_REQUIRED = ("axis1", "axis2", "solver")
+_CONFIG_FIELDS = _CONFIG_REQUIRED + ("base", "constraints")
+
+
 @dataclass(frozen=True)
 class Axis:
     parameter: str
@@ -65,11 +74,33 @@ class Axis:
             raise ValueError("axis count must be at least 2")
         if self.scale not in ("linear", "log"):
             raise ValueError(f"axis scale must be 'linear' or 'log', got {self.scale!r}")
-        if self.scale == "log" and self.min <= 0:
-            raise ValueError("log-scaled axis requires min > 0")
+        if self.scale == "log" and min(self.min, self.max) <= 0:
+            raise ValueError("log-scaled axis requires min > 0 and max > 0")
         valid = DERIVED_AXES + tuple(SystemParams.__dataclass_fields__)
         if self.parameter not in valid:
             raise ValueError(f"unknown axis parameter {self.parameter!r}")
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "Axis":
+        if not isinstance(data, dict):
+            raise ValueError(f"axis must be a JSON object, got {type(data).__name__}")
+        unknown = set(data) - set(_AXIS_FIELDS)
+        if unknown:
+            raise ValueError(f"unknown axis fields: {sorted(unknown)}")
+        missing = [name for name in _AXIS_REQUIRED if name not in data]
+        if missing:
+            raise ValueError(f"axis is missing fields: {missing}")
+        count = data["count"]
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+            raise ValueError(f"axis count must be an integer, got {count!r}")
+        try:
+            bounds = float(data["min"]), float(data["max"])
+        except (TypeError, ValueError, OverflowError) as err:
+            raise ValueError(f"axis min and max must be numbers: {err}") from None
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError(f"axis min and max must be finite, got {bounds}")
+        return cls(parameter=data["parameter"], min=bounds[0], max=bounds[1],
+                   count=int(count), scale=data.get("scale", "linear"))
 
     def values(self) -> np.ndarray:
         if self.scale == "log":
@@ -96,12 +127,28 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepConfig":
+        """Build a config from parsed JSON; malformed input raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(f"sweep config must be a JSON object, got "
+                             f"{type(data).__name__}")
+        unknown = set(data) - set(_CONFIG_FIELDS)
+        if unknown:
+            raise ValueError(f"unknown sweep config fields: {sorted(unknown)}")
+        missing = [name for name in _CONFIG_REQUIRED if name not in data]
+        if missing:
+            raise ValueError(f"sweep config is missing fields: {missing}")
+        constraints = data.get("constraints", [])
+        if not isinstance(constraints, (list, tuple)) or not all(
+                isinstance(rule, str) for rule in constraints):
+            raise ValueError("constraints must be a list of strings")
+        if not isinstance(data["solver"], str):
+            raise ValueError(f"solver must be a string, got {data['solver']!r}")
         return cls(
             base=SystemParams.from_dict(data.get("base", {})),
-            axis1=Axis(**data["axis1"]),
-            axis2=Axis(**data["axis2"]),
+            axis1=Axis.from_dict(data["axis1"]),
+            axis2=Axis.from_dict(data["axis2"]),
             solver=data["solver"],
-            constraints=tuple(data.get("constraints", ())),
+            constraints=tuple(constraints),
         )
 
     def to_dict(self) -> dict:
@@ -116,9 +163,9 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One grid point: axis values, the parameters actually used, and the
-    mode-A statistics (g2_a None when undefined; error non-empty when the
-    solver failed at this point)."""
+    """One grid point: axis values, mode A's detuning and Kerr strength as
+    actually used, and the mode-A statistics (g2_a None when undefined;
+    error non-empty when the solver failed at this point)."""
 
     axis1: float
     axis2: float
@@ -182,13 +229,14 @@ def run_point(
 ) -> ResultRow:
     """Evaluate one parameter point; solver errors carry the point context."""
     solver = normalize_solver(solver)
+    HilbertSpec(n_max, n_max)  # a bad cutoff is a usage error, not a solver error
     try:
         g2, mean_n = evaluate_point(params, solver, n_max=n_max)
     except (SolverError, np.linalg.LinAlgError, ValueError) as err:
         raise SolverError(f"{err} [at params {params.to_dict()}]") from err
     return ResultRow(
         axis1=math.nan, axis2=math.nan,
-        delta=params.delta_a, u=params.u_b,
+        delta=params.delta_a, u=params.u_a,
         g2_a=g2, mean_n_a=mean_n, solver=solver,
     )
 
@@ -200,7 +248,7 @@ def _grid_point(config: SweepConfig, v1: float, v2: float) -> ResultRow:
         params = apply_constraints(params, config.constraints)
         g2, mean_n = evaluate_point(params, config.solver)
         return ResultRow(axis1=v1, axis2=v2, delta=params.delta_a,
-                         u=params.u_b, g2_a=g2, mean_n_a=mean_n,
+                         u=params.u_a, g2_a=g2, mean_n_a=mean_n,
                          solver=config.solver)
     except (SolverError, np.linalg.LinAlgError, ValueError) as err:
         return ResultRow(axis1=v1, axis2=v2, delta=math.nan, u=math.nan,

@@ -64,6 +64,19 @@ def test_point_solver_error_exit_code(capsys):
     assert "solver error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("point", "--j", "10", "--u", "nan"),
+    ("point", "--j", "10", "--eps-b", "inf"),
+    ("point", "--j", "10", "--n-max", "-1"),
+    ("optimize", "--j", "10", "--eta", "3", "--grid-points", "0"),
+])
+def test_bad_numbers_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_optimize_dual_drive(capsys):
     code, out, _ = run_cli(capsys, "optimize", "--j", "10", "--eta", "3",
                            "--phi", "0")
@@ -107,6 +120,27 @@ def test_sweep_with_bad_config(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sweep", "--config", str(config_path),
                            "--out", str(tmp_path / "x.csv"))
     assert code == 1
+
+
+@pytest.mark.parametrize("config", [
+    [1, 2],
+    {"axis1": {"parameter": "phi", "min": 0, "max": 1, "count": 3,
+               "step": 0.1},
+     "axis2": {"parameter": "eta", "min": 1, "max": 2, "count": 3},
+     "solver": "Hierarchy"},
+    {"axis1": {"parameter": "phi", "min": 0, "max": 1, "count": 2.5},
+     "axis2": {"parameter": "eta", "min": 1, "max": 2, "count": 3},
+     "solver": "Hierarchy"},
+])
+def test_sweep_with_malformed_config_is_one_line_usage_error(tmp_path, capsys,
+                                                             config):
+    config_path = tmp_path / "bad.json"
+    config_path.write_text(json.dumps(config))
+    code, _, err = run_cli(capsys, "sweep", "--config", str(config_path),
+                           "--out", str(tmp_path / "x.csv"))
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_figure_unknown_name(capsys, tmp_path):

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from photonmol import (
     symmetric_params,
     validate_density_matrix,
 )
+from photonmol.lindblad import _openblas_controls, _single_threaded_blas
 
 SPEC = HilbertSpec(3, 3)
 
@@ -155,3 +158,53 @@ def test_truncation_convergence():
         obs = observables(steady_state(liouvillian(params, spec)), spec)
         values.append(obs.g2_a)
     assert abs(values[0] - values[1]) / values[1] < 1e-6
+
+
+def blas_thread_counts():
+    return [get_threads() for get_threads, _ in _openblas_controls()]
+
+
+@pytest.mark.filterwarnings("ignore:Diagonal number")
+def test_steady_state_restores_blas_thread_counts():
+    controls = _openblas_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS library loaded")
+    saved = blas_thread_counts()
+    liouv = liouvillian(symmetric_params(10.0, delta=0.3, u=0.02, eta=3.0), SPEC)
+    try:
+        for _, set_threads in controls:
+            set_threads(2)
+        before = blas_thread_counts()
+        steady_state(liouv)
+        assert blas_thread_counts() == before
+        with pytest.raises(SolverError):
+            steady_state(np.zeros_like(liouv))
+        assert blas_thread_counts() == before
+        with _single_threaded_blas:
+            assert blas_thread_counts() == [1] * len(controls)
+        assert blas_thread_counts() == before
+    finally:
+        for (_, set_threads), count in zip(controls, saved):
+            set_threads(count)
+
+
+def test_steady_state_concurrent_calls_match_serial():
+    rng = np.random.default_rng(53)
+    generators = [
+        liouvillian(symmetric_params(
+            rng.uniform(1, 10), delta=rng.uniform(-2, 2), u=rng.uniform(0, 0.1),
+            eta=rng.uniform(1, 5), phi=rng.uniform(-math.pi, math.pi)), SPEC)
+        for _ in range(6)
+    ]
+    before = blas_thread_counts()
+    serial = [steady_state(g).tobytes() for g in generators]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(steady_state, g) for g in generators * 4]
+            concurrent = [f.result(timeout=120).tobytes() for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert concurrent == serial * 4
+    assert blas_thread_counts() == before

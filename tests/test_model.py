@@ -31,7 +31,25 @@ def random_params(rng):
     )
 
 
+def kron_liouvillian(params, spec):
+    """Reference generator: the explicit Kronecker-product formula,
+    -i (I x H - H^T x I) + sum_c kappa_c (c* x c - I x c'c / 2 - (c'c)^T x I / 2)."""
+    h = hamiltonian(params, spec)
+    a, b = mode_annihilators(spec)
+    eye = np.eye(spec.dim, dtype=complex)
+    liouv = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    for rate, c in ((params.kappa_a, a), (params.kappa_b, b)):
+        cdc = c.conj().T @ c
+        liouv += rate * (np.kron(c.conj(), c) - 0.5 * np.kron(eye, cdc)
+                         - 0.5 * np.kron(cdc.T, eye))
+    return liouv
+
+
 def test_params_validation():
+    for field in ("u_a", "eps_b", "phi_a", "kappa_b"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                SystemParams(**{field: bad})
     with pytest.raises(ValueError):
         SystemParams(kappa_a=0.0)
     with pytest.raises(ValueError):
@@ -43,8 +61,10 @@ def test_params_validation():
 def test_params_dict_round_trip():
     params = SystemParams(delta_a=1.5, coupling_j=10.0, eps_a=0.01, phi_b=0.3)
     assert SystemParams.from_dict(params.to_dict()) == params
-    with pytest.raises(ValueError):
-        SystemParams.from_dict({"coupling": 10.0})
+    for bad in ({"coupling": 10.0}, [1.0], {"u_a": None}, {"u_a": [0.1]},
+                {"u_a": "strong"}, {"u_a": "nan"}):
+        with pytest.raises(ValueError):
+            SystemParams.from_dict(bad)
 
 
 def test_symmetric_params():
@@ -111,6 +131,34 @@ def test_liouvillian_annihilates_vacuum_when_undriven():
     rho = np.zeros((SPEC.dim, SPEC.dim), dtype=complex)
     rho[0, 0] = 1.0
     assert np.all(liouv @ vec(rho) == 0)
+
+
+def test_liouvillian_matches_kronecker_formula():
+    rng = np.random.default_rng(43)
+    for n_max_a in range(5):
+        for n_max_b in range(5):
+            spec = HilbertSpec(n_max_a, n_max_b)
+            for _ in range(2):
+                params = random_params(rng)
+                reference = kron_liouvillian(params, spec)
+                scale = max(np.max(np.abs(reference)), 1.0)
+                deviation = np.max(np.abs(liouvillian(params, spec) - reference))
+                assert deviation <= 1e-13 * scale, (spec, deviation)
+
+
+def test_liouvillian_returns_a_fresh_array():
+    params = random_params(np.random.default_rng(47))
+    first = liouvillian(params, SPEC)
+    expected = first.copy()
+    first[:] = 0.0
+    assert np.array_equal(liouvillian(params, SPEC), expected)
+
+
+def test_mode_annihilators_are_shared_read_only():
+    a, _ = mode_annihilators(SPEC)
+    assert mode_annihilators(HilbertSpec(3, 3))[0] is a
+    with pytest.raises(ValueError):
+        a[0, 1] = 2.0
 
 
 def test_liouvillian_trace_preservation_random_state():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonmol import (
     Axis,
@@ -57,6 +59,21 @@ def test_run_point_attaches_parameters_to_errors():
     params = SystemParams(delta_a=1.0, delta_b=2.0, coupling_j=5.0, eps_a=0.01)
     with pytest.raises(SolverError, match="delta_a"):
         run_point(params, "Hierarchy")
+
+
+def test_rows_record_mode_a_parameters():
+    params = SystemParams(delta_a=0.4, delta_b=-0.3, coupling_j=3.0,
+                          u_a=0.02, u_b=0.07, eps_a=0.01)
+    row = run_point(params, "MasterEquation")
+    assert (row.delta, row.u) == (0.4, 0.02)
+    config = SweepConfig(base=params, axis1=Axis("phi_a", 0.0, 1.0, 2),
+                         axis2=Axis("eps_b", 0.0, 0.01, 2), solver="FullTruncated")
+    assert {(r.delta, r.u) for r in run_sweep(config)} == {(0.4, 0.02)}
+
+
+def test_run_point_rejects_bad_cutoff_before_solving():
+    with pytest.raises(ValueError, match="cutoff"):
+        run_point(SystemParams(eps_a=0.01), "MasterEquation", n_max=-1)
 
 
 def test_trivial_sweep_rows():
@@ -197,3 +214,75 @@ def test_config_round_trip():
     assert rebuilt == config
     with pytest.raises(ValueError):
         SweepConfig.from_dict({**config.to_dict(), "solver": "Exact"})
+
+
+VALID_CONFIG = {
+    "base": {"coupling_j": 10.0, "eps_a": 0.01},
+    "axis1": {"parameter": "phi", "min": 0.0, "max": 1.0, "count": 3},
+    "axis2": {"parameter": "eta", "min": 1.5, "max": 4.0, "count": 3,
+              "scale": "log"},
+    "solver": "FullTruncated",
+    "constraints": ["u := dual_drive_u"],
+}
+
+
+@pytest.mark.parametrize("change", [
+    {"axis1": {**VALID_CONFIG["axis1"], "step": 0.1}},
+    {"axis1": {**VALID_CONFIG["axis1"], "count": 2.5}},
+    {"axis1": {**VALID_CONFIG["axis1"], "count": "3"}},
+    {"axis1": {**VALID_CONFIG["axis1"], "count": True}},
+    {"axis1": {**VALID_CONFIG["axis1"], "min": None}},
+    {"axis1": {**VALID_CONFIG["axis1"], "max": math.inf}},
+    {"axis1": {"parameter": "phi", "min": 0.0, "count": 3}},
+    {"axis2": {**VALID_CONFIG["axis2"], "max": -4.0}},
+    {"axis2": [1.0, 2.0]},
+    {"base": [10.0]},
+    {"base": {"coupling_j": "ten"}},
+    {"solver": 3},
+    {"constraints": "u := dual_drive_u"},
+    {"constraints": [1]},
+    {"extra": 1},
+])
+def test_config_from_dict_rejects_malformed_input(change):
+    SweepConfig.from_dict(VALID_CONFIG)
+    with pytest.raises(ValueError):
+        SweepConfig.from_dict({**VALID_CONFIG, **change})
+
+
+@pytest.mark.parametrize("data", [[VALID_CONFIG], "config", None, 3.0])
+def test_config_from_dict_rejects_non_objects(data):
+    with pytest.raises(ValueError, match="JSON object"):
+        SweepConfig.from_dict(data)
+
+
+def test_config_from_dict_rejects_missing_fields():
+    for name in ("axis1", "axis2", "solver"):
+        data = {k: v for k, v in VALID_CONFIG.items() if k != name}
+        with pytest.raises(ValueError, match=name):
+            SweepConfig.from_dict(data)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(section=st.sampled_from(["axis1", "axis2", "base", "solver",
+                                "constraints"]),
+       key=st.sampled_from(["parameter", "min", "max", "count", "scale",
+                            "coupling_j", "u_a"]),
+       value=json_values)
+def test_config_from_dict_raises_only_value_error(section, key, value):
+    data = json.loads(json.dumps(VALID_CONFIG))
+    if isinstance(data[section], dict):
+        data[section][key] = value
+    else:
+        data[section] = value
+    try:
+        SweepConfig.from_dict(data)
+    except ValueError:
+        pass
