@@ -47,6 +47,7 @@ from .solvers import (
     SOLVER_HIERARCHY,
     SOLVER_MASTER_EQUATION,
     SOLVERS,
+    evaluate_grid,
     evaluate_point,
 )
 from .sweep import Axis, ResultRow, SweepConfig, run_point, run_sweep, sweep_to_files
@@ -61,7 +62,8 @@ __all__ = [
     "SOLVER_MASTER_EQUATION", "DEFAULT_N_MAX", "SolverError", "SweepConfig",
     "SystemParams", "bunching_phase_curve", "c10_zero_condition", "cli_main",
     "create", "destroy", "drive_ratios", "dual_drive_optimum_asymptotic",
-    "dual_drive_optimum_exact_phi0", "evaluate_point", "evolve", "figure",
+    "dual_drive_optimum_exact_phi0", "evaluate_grid", "evaluate_point",
+    "evolve", "figure",
     "full_truncated_steady", "g2_approx", "hamiltonian", "hierarchy_steady",
     "identity", "liouvillian", "mean_photon_approx", "mode_annihilators",
     "mode_operator", "numeric_optimum", "observables",

@@ -9,6 +9,10 @@ amplitude fixed to one. Two solvers are provided:
   feedback of two-photon amplitudes onto the one-photon ones);
 * the full truncated solve: the complete 5x5 steady linear system including
   those feedback terms, valid also for unequal detunings/dissipation rates.
+
+Each solver builds its systems from parameter arrays and solves them as
+stacks: the scalar entry points solve a batch of one, and hierarchy_grid /
+full_truncated_grid solve many points at once for solvers.evaluate_grid.
 """
 
 from dataclasses import dataclass
@@ -33,19 +37,131 @@ class AmplitudeSet:
     c02: complex
 
 
-def _drive_phasors(params: SystemParams) -> tuple[complex, complex]:
+def _drive_phasors(params) -> tuple:
     ea = params.eps_a * np.exp(1j * params.phi_a)
     eb = params.eps_b * np.exp(1j * params.phi_b)
     return ea, eb
 
 
-def _require_symmetric(params: SystemParams) -> None:
-    if not params.is_symmetric:
+def _require_symmetric(symmetric: bool) -> None:
+    if not symmetric:
         raise ValueError(
             "closed-form amplitudes require equal detunings and dissipation "
             "rates on both modes; use full_truncated_steady for the "
             "asymmetric case"
         )
+
+
+# --- linear systems, built and solved as stacks -----------------------------
+#
+# The builders below take a SystemParams, or an object with the same field
+# names holding equal-length 1-D arrays (one entry per point), and return
+# (B, n, n) matrices with (B, n, 1) right-hand sides: B = 1 for a
+# SystemParams.
+
+
+def _stack(rows: list) -> np.ndarray:
+    """(B, rows, cols) stack of a matrix whose entries are all scalars or
+    all 1-D arrays of length B."""
+    out = np.array(rows, dtype=complex)
+    return out.reshape(out.shape[:2] + (-1,)).transpose(2, 0, 1)
+
+
+def _cmul(a, b):
+    """a * b, rounded as a scalar product rounds.
+
+    numpy's and Python's scalar complex products use the textbook formula;
+    numpy's vectorised ones may fuse its multiply-adds and round
+    differently. The hierarchy's products go through here, so stacked
+    amplitudes equal the scalar ones bit for bit.
+    """
+    if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+        return a * b
+    return ((a.real * b.real - a.imag * b.imag)
+            + 1j * (a.real * b.imag + a.imag * b.real))
+
+
+def _check_regular(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(singular flags, determinants) of a (B, n, n) stack. A matrix counts
+    as singular when |det| < 1e-14 * (max |entry|)^n."""
+    det = np.linalg.det(matrices)
+    scale = np.abs(matrices).max(axis=(1, 2))
+    return np.abs(det) < 1e-14 * scale ** matrices.shape[-1], det
+
+
+def _solve_stack(matrices: np.ndarray, rhs: np.ndarray):
+    """Solve a (B, n, n) stack against (B, n, 1) right-hand sides.
+
+    Singular matrices are swapped for the identity before the solve, so one
+    of them cannot fail the whole stack, and their solution rows are NaN.
+    Returns the (B, n) solutions, the singular flags and the determinants.
+    """
+    singular, det = _check_regular(matrices)
+    any_singular = np.count_nonzero(singular) > 0
+    if any_singular:
+        identity = np.eye(matrices.shape[-1], dtype=complex)
+        matrices = np.where(singular[:, None, None], identity, matrices)
+    solutions = np.linalg.solve(matrices, rhs)[..., 0]
+    if any_singular:
+        solutions[singular] = np.nan
+    return solutions, singular, det
+
+
+def _solve_one(matrices: np.ndarray, rhs: np.ndarray, label: str) -> np.ndarray:
+    """Solution of a batch of one; SolverError when its matrix is singular."""
+    solutions, singular, det = _solve_stack(matrices, rhs)
+    if singular[0]:
+        raise SolverError(f"{label} is singular (|det| ~ {abs(det[0]):.3e})")
+    return solutions[0]
+
+
+def _one_photon(params) -> tuple:
+    ea, eb = _drive_phasors(params)
+    pole = params.delta_a - 0.5j * params.kappa_a
+    # float_power is libm's pow, as j**2 on a Python float; an array's
+    # j**2 is j*j, which can round differently.
+    denom = _cmul(pole, pole) - np.float_power(params.coupling_j, 2.0)
+    c10 = (eb * params.coupling_j - _cmul(ea, pole)) / denom
+    c01 = (ea * params.coupling_j - _cmul(eb, pole)) / denom
+    return c10, c01
+
+
+def _two_photon_system(params, c10, c01) -> tuple[np.ndarray, np.ndarray]:
+    """3x3 system of (c20, c11, c02) with the one-photon amplitudes as
+    sources (symmetric configuration)."""
+    ea, eb = _drive_phasors(params)
+    delta, kap, j = params.delta_a, params.kappa_a, params.coupling_j
+    zero = delta - delta  # +0.0 in delta's shape: x - x is +0.0 for finite x
+    matrix = _stack([
+        [2 * delta + 2 * params.u_a - 1j * kap, _SQRT2 * j, zero],
+        [zero, _SQRT2 * j, 2 * delta + 2 * params.u_b - 1j * kap],
+        [_SQRT2 * j, 2 * delta - 1j * kap, _SQRT2 * j],
+    ])
+    rhs = _stack([
+        [_cmul(-_SQRT2 * ea, c10)],
+        [_cmul(-_SQRT2 * eb, c01)],
+        [-(_cmul(eb, c10) + _cmul(ea, c01))],
+    ])
+    return matrix, rhs
+
+
+def _full_truncated_system(params) -> tuple[np.ndarray, np.ndarray]:
+    """5x5 steady system of (c10, c01, c20, c11, c02) with c00 = 1."""
+    ea, eb = _drive_phasors(params)
+    da, db = params.delta_a, params.delta_b
+    ka, kb = params.kappa_a, params.kappa_b
+    ua, ub = params.u_a, params.u_b
+    j = params.coupling_j
+    zero = da - da  # +0.0 in da's shape: x - x is +0.0 for finite x
+    matrix = _stack([
+        [da - 0.5j * ka, j, _SQRT2 * np.conj(ea), np.conj(eb), zero],
+        [j, db - 0.5j * kb, zero, np.conj(ea), _SQRT2 * np.conj(eb)],
+        [_SQRT2 * ea, zero, 2 * da + 2 * ua - 1j * ka, _SQRT2 * j, zero],
+        [eb, ea, _SQRT2 * j, da + db - 0.5j * (ka + kb), _SQRT2 * j],
+        [zero, _SQRT2 * eb, zero, _SQRT2 * j, 2 * db + 2 * ub - 1j * kb],
+    ])
+    rhs = _stack([[-ea], [-eb], [zero], [zero], [zero]])
+    return matrix, rhs
 
 
 def one_photon_amplitudes(params: SystemParams) -> tuple[complex, complex]:
@@ -55,13 +171,8 @@ def one_photon_amplitudes(params: SystemParams) -> tuple[complex, complex]:
     interference between the direct drive and the cross-coupled drive of the
     other mode can null either amplitude exactly.
     """
-    _require_symmetric(params)
-    ea, eb = _drive_phasors(params)
-    pole = params.delta_a - 0.5j * params.kappa_a
-    denom = pole**2 - params.coupling_j**2
-    c10 = (eb * params.coupling_j - ea * pole) / denom
-    c01 = (ea * params.coupling_j - eb * pole) / denom
-    return c10, c01
+    _require_symmetric(params.is_symmetric)
+    return _one_photon(params)
 
 
 def two_photon_amplitudes(
@@ -72,23 +183,9 @@ def two_photon_amplitudes(
     Solves the 3x3 linear system of the two-photon manifold in the steady
     state; the one-photon amplitudes enter only as sources.
     """
-    _require_symmetric(params)
-    ea, eb = _drive_phasors(params)
-    delta, kap, j = params.delta_a, params.kappa_a, params.coupling_j
-    matrix = np.array(
-        [
-            [2 * delta + 2 * params.u_a - 1j * kap, _SQRT2 * j, 0.0],
-            [0.0, _SQRT2 * j, 2 * delta + 2 * params.u_b - 1j * kap],
-            [_SQRT2 * j, 2 * delta - 1j * kap, _SQRT2 * j],
-        ],
-        dtype=complex,
-    )
-    rhs = np.array(
-        [-_SQRT2 * ea * c10, -_SQRT2 * eb * c01, -(eb * c10 + ea * c01)],
-        dtype=complex,
-    )
-    _check_regular(matrix, "two-photon 3x3 system")
-    c20, c11, c02 = np.linalg.solve(matrix, rhs)
+    _require_symmetric(params.is_symmetric)
+    c20, c11, c02 = _solve_one(*_two_photon_system(params, c10, c01),
+                               "two-photon 3x3 system")
     return c20, c11, c02
 
 
@@ -107,24 +204,8 @@ def full_truncated_steady(params: SystemParams) -> AmplitudeSet:
     equations and supports unequal detunings and dissipation rates. Unknowns
     are ordered (c10, c01, c20, c11, c02) with c00 fixed to one.
     """
-    ea, eb = _drive_phasors(params)
-    da, db = params.delta_a, params.delta_b
-    ka, kb = params.kappa_a, params.kappa_b
-    ua, ub = params.u_a, params.u_b
-    j = params.coupling_j
-    matrix = np.array(
-        [
-            [da - 0.5j * ka, j, _SQRT2 * np.conj(ea), np.conj(eb), 0.0],
-            [j, db - 0.5j * kb, 0.0, np.conj(ea), _SQRT2 * np.conj(eb)],
-            [_SQRT2 * ea, 0.0, 2 * da + 2 * ua - 1j * ka, _SQRT2 * j, 0.0],
-            [eb, ea, _SQRT2 * j, da + db - 0.5j * (ka + kb), _SQRT2 * j],
-            [0.0, _SQRT2 * eb, 0.0, _SQRT2 * j, 2 * db + 2 * ub - 1j * kb],
-        ],
-        dtype=complex,
-    )
-    rhs = np.array([-ea, -eb, 0.0, 0.0, 0.0], dtype=complex)
-    _check_regular(matrix, "truncated-manifold 5x5 system")
-    c10, c01, c20, c11, c02 = np.linalg.solve(matrix, rhs)
+    c10, c01, c20, c11, c02 = _solve_one(*_full_truncated_system(params),
+                                         "truncated-manifold 5x5 system")
     return AmplitudeSet(c00=1.0, c10=c10, c01=c01, c20=c20, c11=c11, c02=c02)
 
 
@@ -147,8 +228,33 @@ def mean_photon_approx(amps: AmplitudeSet) -> float:
     return abs(amps.c10) ** 2
 
 
-def _check_regular(matrix: np.ndarray, label: str) -> None:
-    det = np.linalg.det(matrix)
-    scale = np.max(np.abs(matrix))
-    if abs(det) < 1e-14 * scale ** matrix.shape[0]:
-        raise SolverError(f"{label} is singular (|det| ~ {abs(det):.3e})")
+def hierarchy_grid(params) -> tuple[np.ndarray, np.ndarray]:
+    """Hierarchy (g2_a, mean_n_a) over a batch of symmetric points, given
+    as an object with SystemParams' field names holding 1-D arrays. NaN
+    where hierarchy_steady would raise; g2 also NaN where it is undefined.
+    """
+    _require_symmetric(np.array_equal(params.delta_a, params.delta_b)
+                       and np.array_equal(params.kappa_a, params.kappa_b))
+    c10, c01 = _one_photon(params)
+    solutions, singular, _ = _solve_stack(*_two_photon_system(params, c10, c01))
+    return _g2_and_mean(np.where(singular, np.nan, c10), solutions[:, 0])
+
+
+def full_truncated_grid(params) -> tuple[np.ndarray, np.ndarray]:
+    """FullTruncated (g2_a, mean_n_a) over a batch of points, given as for
+    hierarchy_grid. NaN where full_truncated_steady would raise; g2 also
+    NaN where it is undefined."""
+    solutions, _, _ = _solve_stack(*_full_truncated_system(params))
+    return _g2_and_mean(solutions[:, 0], solutions[:, 2])
+
+
+def _g2_and_mean(c10: np.ndarray, c20: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g2_approx and mean_photon_approx over amplitude arrays, with NaN for
+    an undefined g2. hypot and float_power call the same libm hypot and pow
+    as abs(c) ** 2 on a scalar, so each value equals the scalar one."""
+    mean = np.float_power(np.hypot(c10.real, c10.imag), 2.0)
+    denom = mean * mean
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g2 = 2.0 * np.float_power(np.hypot(c20.real, c20.imag), 2.0) / denom
+    g2[denom == 0.0] = np.nan
+    return g2, mean

@@ -154,7 +154,9 @@ def evolve(
 ) -> np.ndarray:
     """Propagate a density matrix with a classical fourth-order Runge-Kutta
     scheme, renormalizing the trace after every step. Independent of
-    steady_state(); used as its cross-check oracle."""
+    steady_state(); used as its cross-check oracle. Like steady_state(),
+    it runs on single-threaded BLAS and restores the caller's BLAS thread
+    counts on return."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_final < 0:
@@ -167,19 +169,20 @@ def evolve(
     if remainder > 1e-12 * dt:
         steps.append(remainder)
 
-    for h in steps:
-        k1 = liouv @ v
-        k2 = liouv @ (v + 0.5 * h * k1)
-        k3 = liouv @ (v + 0.5 * h * k2)
-        k4 = liouv @ (v + h * k3)
-        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        trace = np.real(v[:: dim + 1].sum())
-        if abs(trace - 1.0) > _TRACE_DRIFT_LIMIT:
-            raise SolverError(
-                f"trace drifted by {abs(trace - 1.0):.3e} in one step; "
-                f"the step size dt={dt} is too large for this generator"
-            )
-        v = v / trace
+    with _single_threaded_blas:
+        for h in steps:
+            k1 = liouv @ v
+            k2 = liouv @ (v + 0.5 * h * k1)
+            k3 = liouv @ (v + 0.5 * h * k2)
+            k4 = liouv @ (v + h * k3)
+            v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            trace = np.real(v[:: dim + 1].sum())
+            if abs(trace - 1.0) > _TRACE_DRIFT_LIMIT:
+                raise SolverError(
+                    f"trace drifted by {abs(trace - 1.0):.3e} in one step; "
+                    f"the step size dt={dt} is too large for this generator"
+                )
+            v = v / trace
     return unvec(v)
 
 

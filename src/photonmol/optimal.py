@@ -18,7 +18,12 @@ from scipy.optimize import brentq, minimize
 
 from .errors import SolverError
 from .model import symmetric_params
-from .solvers import SOLVER_FULL_TRUNCATED, evaluate_point, normalize_solver
+from .solvers import (
+    SOLVER_FULL_TRUNCATED,
+    evaluate_grid,
+    evaluate_point,
+    normalize_solver,
+)
 
 METHOD_SINGLE_DRIVE_ASYMPTOTIC = "SingleDriveAsymptotic"
 METHOD_DUAL_DRIVE_ASYMPTOTIC = "DualDriveAsymptotic"
@@ -204,11 +209,13 @@ def dual_drive_optimum_exact_phi0(
     """
     if eta <= 1:
         raise ValueError("exact dual-drive optimum requires eta > 1")
+    if samples < 2:
+        raise ValueError(f"samples must be at least 2, got {samples}")
     poly, poly_d, u_of = _u_eliminated_polynomial(
         np.longdouble(kappa), np.longdouble(j), np.longdouble(eta)
     )
     grid = np.linspace(2.0 * j / samples, 2.0 * j, samples)
-    values = np.array([float(poly(np.longdouble(d))) for d in grid])
+    values = poly(grid.astype(np.longdouble)).astype(float)
 
     seed = j / eta
     candidates = []
@@ -236,6 +243,20 @@ def dual_drive_optimum_exact_phi0(
                         method=METHOD_DUAL_DRIVE_EXACT)
 
 
+def _ordered_argmin(values: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the grid minimum under an ordered scan with a tie rule.
+
+    Scans values in C order and moves to a value only when it lies more
+    than 1e-12 below the best so far, so near-ties keep the earlier point.
+    Non-finite values never win; None when there is no finite value.
+    """
+    best_val, best = math.inf, None
+    for index, val in enumerate(values.ravel().tolist()):
+        if val < best_val - 1e-12:
+            best_val, best = val, index
+    return None if best is None else np.unravel_index(best, values.shape)
+
+
 def numeric_optimum(
     kappa: float,
     j: float,
@@ -250,9 +271,10 @@ def numeric_optimum(
     """Numerically minimize the mode-A correlation over (delta, u).
 
     Coarse 64x64 grid (delta linear in [0.05 kappa, 1.2 j], u log-spaced in
-    [1e-4 kappa, kappa]) followed by Nelder-Mead refinement in log
-    coordinates to a relative parameter tolerance of refine_tol. Grid ties
-    closer than 1e-12 prefer the weaker nonlinearity.
+    [1e-4 kappa, kappa]), evaluated in one evaluate_grid call, followed by
+    Nelder-Mead refinement in log coordinates to a relative parameter
+    tolerance of refine_tol. Grid ties closer than 1e-12 prefer the weaker
+    nonlinearity.
     """
     solver = normalize_solver(solver)
     if grid_points < 1:
@@ -273,17 +295,19 @@ def numeric_optimum(
 
     deltas = np.linspace(0.05 * kappa, 1.2 * j, grid_points)
     u_values = np.logspace(-4, 0, grid_points) * kappa
-    best_val, best_xy = math.inf, None
-    for u in u_values:  # ascending u: ties keep the weaker nonlinearity
-        for delta in deltas:
-            val = objective(delta, u)
-            if val < best_val - 1e-12:
-                best_val, best_xy = val, (delta, u)
-    if best_xy is None:
+    base = symmetric_params(j, eta=eta, phi=phi, eps_a=eps_a, kappa=kappa)
+    g2_grid, _ = evaluate_grid(
+        base.to_dict() | {"delta_a": deltas, "delta_b": deltas,
+                          "u_a": u_values[:, None], "u_b": u_values[:, None]},
+        solver, n_max=n_max,
+    )
+    best = _ordered_argmin(g2_grid)  # rows ascend in u: weaker nonlinearity first
+    if best is None:
         raise SolverError(
             f"correlation non-finite over the whole grid at kappa={kappa}, "
             f"j={j}, eta={eta}, phi={phi}"
         )
+    best_xy = (deltas[best[1]], u_values[best[0]])
 
     result = minimize(
         lambda x: objective(math.exp(x[0]), math.exp(x[1])),

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from photonmol import (
+    SOLVER_FULL_TRUNCATED,
+    SOLVER_HIERARCHY,
     AmplitudeSet,
     HilbertSpec,
     SystemParams,
@@ -20,6 +22,9 @@ from photonmol import (
     symmetric_params,
     two_photon_amplitudes,
 )
+from photonmol.errors import SolverError
+from photonmol.model import PARAM_FIELDS
+from photonmol.solvers import GRID_CHUNK, evaluate_grid, evaluate_point
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -270,3 +275,168 @@ def test_weak_drive_amplitude_ordering():
         assert 0.1 * eps < abs(value) < 10.0 * eps
     for value in (amps.c20, amps.c11, amps.c02):
         assert 0.1 * eps**2 < abs(value) < 10.0 * eps**2
+
+
+# --- the batched builders against the explicit formulas ----------------------
+
+
+def explicit_full_truncated(params):
+    """The 5x5 steady system written out and solved on its own."""
+    ea, eb = drive_phasors(params)
+    da, db = params.delta_a, params.delta_b
+    ka, kb = params.kappa_a, params.kappa_b
+    ua, ub = params.u_a, params.u_b
+    j = params.coupling_j
+    matrix = np.array(
+        [
+            [da - 0.5j * ka, j, SQRT2 * np.conj(ea), np.conj(eb), 0.0],
+            [j, db - 0.5j * kb, 0.0, np.conj(ea), SQRT2 * np.conj(eb)],
+            [SQRT2 * ea, 0.0, 2 * da + 2 * ua - 1j * ka, SQRT2 * j, 0.0],
+            [eb, ea, SQRT2 * j, da + db - 0.5j * (ka + kb), SQRT2 * j],
+            [0.0, SQRT2 * eb, 0.0, SQRT2 * j, 2 * db + 2 * ub - 1j * kb],
+        ],
+        dtype=complex,
+    )
+    rhs = np.array([-ea, -eb, 0.0, 0.0, 0.0], dtype=complex)
+    return tuple(np.linalg.solve(matrix, rhs))
+
+
+def explicit_hierarchy(params):
+    """Closed-form one-photon amplitudes and the 3x3 two-photon system,
+    written out and solved on their own."""
+    ea, eb = drive_phasors(params)
+    delta, kap, j = params.delta_a, params.kappa_a, params.coupling_j
+    pole = delta - 0.5j * kap
+    denom = pole**2 - j**2
+    c10 = (eb * j - ea * pole) / denom
+    c01 = (ea * j - eb * pole) / denom
+    matrix = np.array(
+        [
+            [2 * delta + 2 * params.u_a - 1j * kap, SQRT2 * j, 0.0],
+            [0.0, SQRT2 * j, 2 * delta + 2 * params.u_b - 1j * kap],
+            [SQRT2 * j, 2 * delta - 1j * kap, SQRT2 * j],
+        ],
+        dtype=complex,
+    )
+    rhs = np.array(
+        [-SQRT2 * ea * c10, -SQRT2 * eb * c01, -(eb * c10 + ea * c01)],
+        dtype=complex,
+    )
+    return (c10, c01) + tuple(np.linalg.solve(matrix, rhs))
+
+
+def random_params(rng, symmetric):
+    """A weak-drive point; asymmetric in detunings and rates unless asked."""
+    delta_a, kappa_a = rng.uniform(-5, 5), rng.uniform(0.5, 2)
+    return SystemParams(
+        delta_a=delta_a, delta_b=delta_a if symmetric else rng.uniform(-5, 5),
+        coupling_j=rng.uniform(0, 10), u_a=rng.uniform(0, 0.2),
+        u_b=rng.uniform(0, 0.2), eps_a=rng.uniform(0, 0.02),
+        eps_b=rng.uniform(0, 0.02), phi_a=rng.uniform(-3, 3),
+        phi_b=rng.uniform(-3, 3), kappa_a=kappa_a,
+        kappa_b=kappa_a if symmetric else rng.uniform(0.5, 2))
+
+
+def amplitudes(amps):
+    return (amps.c10, amps.c01, amps.c20, amps.c11, amps.c02)
+
+
+def test_scalar_solvers_equal_explicit_formulas():
+    rng = np.random.default_rng(61)
+    for _ in range(50):
+        params = random_params(rng, symmetric=False)
+        assert amplitudes(full_truncated_steady(params)) == \
+            explicit_full_truncated(params)
+        params = random_params(rng, symmetric=True)
+        assert amplitudes(hierarchy_steady(params)) == explicit_hierarchy(params)
+
+
+# Kerr strength at which the determinant test flags both solvers' systems:
+# one entry dwarfs the others, so |det| falls below 1e-14 * max|entry|^n.
+FLAGGED_U = 1e9
+
+
+def grid_points(solver, count):
+    """count seeded points (symmetric for the hierarchy) as field arrays,
+    with eta = inf at the first, an undriven point at the second and a
+    flagged system in the middle."""
+    rng = np.random.default_rng(67)
+    rows = [random_params(rng, symmetric=solver == SOLVER_HIERARCHY)
+            for _ in range(count)]
+    rows[0] = rows[0].replace(eps_b=0.0)
+    rows[1] = rows[1].replace(eps_a=0.0, eps_b=0.0)
+    rows[count // 2] = rows[count // 2].replace(u_a=FLAGGED_U)
+    return rows, {name: np.array([getattr(p, name) for p in rows])
+                  for name in PARAM_FIELDS}
+
+
+@pytest.mark.parametrize("solver", [SOLVER_FULL_TRUNCATED, SOLVER_HIERARCHY])
+def test_grid_matches_point_evaluation(solver):
+    rows, points = grid_points(solver, GRID_CHUNK + 1)  # spans two chunks
+    g2, mean_n = evaluate_grid(points, solver)
+    expected_g2, expected_mean = [], []
+    for params in rows:
+        try:
+            g2_p, mean_p = evaluate_point(params, solver)
+        except SolverError:
+            g2_p, mean_p = math.nan, math.nan
+        expected_g2.append(math.nan if g2_p is None else g2_p)
+        expected_mean.append(mean_p)
+    expected_g2, expected_mean = np.array(expected_g2), np.array(expected_mean)
+
+    middle = GRID_CHUNK // 2
+    assert np.isnan(expected_g2[[1, middle]]).all()
+    assert np.isnan(expected_mean[middle]) and expected_mean[1] == 0.0
+    assert np.isfinite(g2[[0, middle - 1, middle + 1, GRID_CHUNK]]).all()
+    for got, want in ((g2, expected_g2), (mean_n, expected_mean)):
+        assert np.array_equal(np.isfinite(got), np.isfinite(want))
+        finite = np.isfinite(want)
+        assert np.all(np.abs(got[finite] - want[finite])
+                      <= 1e-14 * np.abs(want[finite]))
+
+
+def test_grid_broadcasts_and_defaults():
+    deltas = np.linspace(-2.0, 2.0, 5)
+    u_values = np.array([0.0, 0.05, 0.1])
+    g2, mean_n = evaluate_grid(
+        {"delta_a": deltas, "delta_b": deltas, "u_a": u_values[:, None],
+         "u_b": u_values[:, None], "coupling_j": 4.0, "eps_a": 0.01},
+        "fulltruncated")
+    assert g2.shape == mean_n.shape == (3, 5)
+    for i, u in enumerate(u_values):
+        for k, delta in enumerate(deltas):
+            params = SystemParams(delta_a=delta, delta_b=delta, u_a=u, u_b=u,
+                                  coupling_j=4.0, eps_a=0.01)
+            assert (g2[i, k], mean_n[i, k]) == evaluate_point(params, "FullTruncated")
+    empty = evaluate_grid({"delta_a": np.array([])}, "Hierarchy")
+    assert empty[0].shape == empty[1].shape == (0,)
+
+
+def test_grid_master_equation_falls_back_to_points():
+    points = {"delta_a": np.array([0.3, 0.8]), "delta_b": np.array([0.3, 0.8]),
+              "coupling_j": 3.0, "u_a": 0.05, "u_b": 0.05,
+              "eps_a": np.array([0.01, 0.0])}
+    g2, mean_n = evaluate_grid(points, "MasterEquation", n_max=2)
+    params = SystemParams(delta_a=0.3, delta_b=0.3, coupling_j=3.0, u_a=0.05,
+                          u_b=0.05, eps_a=0.01)
+    assert (g2[0], mean_n[0]) == evaluate_point(params, "MasterEquation", n_max=2)
+    assert np.isnan(g2[1]) and mean_n[1] == 0.0
+
+
+@pytest.mark.parametrize("points", [
+    {"delta": np.zeros(3)},
+    {"u_a": np.array([0.1, math.nan])},
+    {"eps_b": np.array([0.01, math.inf])},
+    {"kappa_a": np.array([1.0, 0.0])},
+    {"eps_a": np.array([0.01, -0.01])},
+    {"coupling_j": np.array([-1.0, 2.0])},
+])
+def test_grid_rejects_what_system_params_rejects(points):
+    with pytest.raises(ValueError):
+        evaluate_grid(points, "FullTruncated")
+
+
+def test_grid_hierarchy_rejects_asymmetric_points():
+    with pytest.raises(ValueError, match="full_truncated_steady"):
+        evaluate_grid({"delta_a": np.array([0.0, 1.0]), "delta_b": 0.0},
+                      "Hierarchy")

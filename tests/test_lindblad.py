@@ -188,6 +188,35 @@ def test_steady_state_restores_blas_thread_counts():
             set_threads(count)
 
 
+def test_evolve_runs_on_single_threaded_blas_and_restores_counts():
+    controls = _openblas_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS library loaded")
+    seen = []
+
+    class RecordingGenerator(np.ndarray):
+        def __matmul__(self, other):
+            seen.append(blas_thread_counts())
+            return np.asarray(self) @ other
+
+    stable = liouvillian(symmetric_params(10.0, delta=0.3, u=0.02, eta=3.0), SPEC)
+    unstable = liouvillian(symmetric_params(10.0, delta=5.0, eta=2.0), SPEC)
+    saved = blas_thread_counts()
+    try:
+        for _, set_threads in controls:
+            set_threads(2)
+        before = blas_thread_counts()
+        evolve(stable.view(RecordingGenerator), vacuum(), t_final=0.01, dt=1e-3)
+        assert blas_thread_counts() == before
+        with pytest.raises(SolverError, match="step size"):
+            evolve(unstable.view(RecordingGenerator), vacuum(), t_final=10.0, dt=1.0)
+        assert blas_thread_counts() == before
+        assert seen and all(counts == [1] * len(controls) for counts in seen)
+    finally:
+        for (_, set_threads), count in zip(controls, saved):
+            set_threads(count)
+
+
 def test_steady_state_concurrent_calls_match_serial():
     rng = np.random.default_rng(53)
     generators = [

@@ -17,7 +17,11 @@ from photonmol import (
     symmetric_params,
 )
 from photonmol.errors import SolverError
-from photonmol.optimal import exact_condition_residuals
+from photonmol.optimal import (
+    _ordered_argmin,
+    _u_eliminated_polynomial,
+    exact_condition_residuals,
+)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -108,6 +112,19 @@ class TestDualDriveExact:
     def test_requires_ratio_above_one(self):
         with pytest.raises(ValueError):
             dual_drive_optimum_exact_phi0(1.0, 10.0, 1.0)
+
+    @pytest.mark.parametrize("samples", [-1, 0, 1])
+    def test_requires_two_samples(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            dual_drive_optimum_exact_phi0(1.0, 10.0, 3.0, samples=samples)
+
+    def test_vectorised_scan_equals_pointwise_scan(self):
+        for j, eta in ((10.0, 3.0), (20.0, 1.5), (50.0, 8.0), (12.5, 40.0)):
+            poly, _, _ = _u_eliminated_polynomial(
+                np.longdouble(1.0), np.longdouble(j), np.longdouble(eta))
+            grid = np.linspace(2.0 * j / 4096, 2.0 * j, 4096)
+            pointwise = [float(poly(np.longdouble(d))) for d in grid]
+            assert poly(grid.astype(np.longdouble)).astype(float).tolist() == pointwise
 
 
 class TestNumericOptimum:
@@ -205,3 +222,61 @@ def test_numeric_optimum_error_on_empty_grid():
     # standard domain, so force it with undriven parameters.
     with pytest.raises(SolverError):
         numeric_optimum(1.0, 10.0, math.inf, 0.0, eps_a=0.0, grid_points=2)
+
+
+# numeric_optimum and dual_drive_optimum_exact_phi0 outputs of release 0.2.0,
+# as float.hex, which the batched grid and the vectorised scan reproduce.
+NUMERIC_PINS = [
+    ((10.0, 3.0, 0.0, "FullTruncated"),
+     ("0x1.af5caf392b826p+1", "0x1.3d63d6e470edbp-6", "0x1.b06f5a9efebc5p-31")),
+    ((15.0, 5.5, 0.7, "FullTruncated"),
+     ("0x1.e7b4d27e297cdp+0", "0x1.d78420043e433p-6", "0x1.6721299fbb14cp-31")),
+    ((10.0, math.inf, 0.0, "FullTruncated"),
+     ("0x1.265500dcea1dep-2", "0x1.f8970924c7ba6p-9", "0x1.1c7654290aed6p-29")),
+    ((20.0, 1.5, 0.0, "FullTruncated"),
+     ("0x1.aaf74eff37322p+3", "0x1.ed6fae27682c7p-6", "0x1.63b57f93ba608p-30")),
+    ((10.0, 3.0, 0.0, "Hierarchy"),
+     ("0x1.af5cfaa74bd4bp+1", "0x1.3d714dc08fb46p-6", "0x1.16aca5fd75364p-29")),
+]
+
+EXACT_PINS = [
+    ((10.0, 3.0), ("0x1.af5ca3bc7dbc8p+1", "0x1.3d7233d9841d1p-6")),
+    ((20.0, 1.5), ("0x1.aaf736997d1fep+3", "0x1.ed7dd73db717bp-6")),
+    ((12.5, 8.0), ("0x1.a30cb36d5e34ep+0", "0x1.75e7bacded1aap-8")),
+]
+
+
+@pytest.mark.parametrize("case, expected", NUMERIC_PINS)
+def test_numeric_optimum_pinned(case, expected):
+    j, eta, phi, solver = case
+    opt = numeric_optimum(1.0, j, eta, phi, solver=solver)
+    assert (opt.delta_opt.hex(), opt.u_opt.hex(), float(opt.g2_min).hex()) == expected
+
+
+@pytest.mark.parametrize("case, expected", EXACT_PINS)
+def test_exact_optimum_pinned(case, expected):
+    opt = dual_drive_optimum_exact_phi0(1.0, *case)
+    assert (opt.delta_opt.hex(), opt.u_opt.hex()) == expected
+
+
+class TestOrderedArgmin:
+    def test_ties_keep_the_earlier_point(self):
+        assert _ordered_argmin(np.full((2, 3), 0.5)) == (0, 0)
+        # Within 1e-12 of the best so far is a tie, even below it.
+        values = np.array([[5.0, 2.0, 2.0 + 5e-13],
+                           [2.0 - 5e-13, 3.0, 2.0 - 9e-13]])
+        assert _ordered_argmin(values) == (0, 1)
+
+    def test_moves_on_more_than_the_tolerance(self):
+        values = np.array([[5.0, 2.0, 2.0 + 5e-13],
+                           [2.0 - 5e-13, 3.0, 2.0 - 2e-12]])
+        assert _ordered_argmin(values) == (1, 2)
+
+    def test_tolerance_is_against_the_running_best(self):
+        # np.argmin would pick the last value; each lies within 1e-12 of
+        # the first, which therefore stays the best.
+        assert _ordered_argmin(np.array([1.0, 1.0 - 0.8e-12, 1.0 - 0.9e-12])) == (0,)
+
+    def test_non_finite_values_never_win(self):
+        assert _ordered_argmin(np.array([[math.nan, math.inf], [7.0, math.nan]])) == (1, 0)
+        assert _ordered_argmin(np.array([[math.nan, math.inf]])) is None
