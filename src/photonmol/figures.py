@@ -4,27 +4,33 @@ Each recipe writes a CSV dataset, a JSON metadata sidecar, and a standalone
 matplotlib script rendering the panel (a log10 heatmap or line plot). Grid
 ranges that are not fixed by the recipe bindings are estimates and can be
 rescaled through the count override.
+
+The heatmaps and the fig4c/fig4d cuts are SweepConfigs run by run_sweep;
+fig5 builds its parameter arrays and goes through the same row builder,
+grid_rows. Both end in one evaluate_grid call. fig3 calls numeric_optimum
+once per drive ratio, on one thread.
 """
 
-import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
+import numbers
 from pathlib import Path
 
 import numpy as np
 
-from .model import SystemParams, symmetric_params
+from .model import SystemParams
 from .optimal import (
     dual_drive_optimum_asymptotic,
     numeric_optimum,
     single_drive_optimum,
 )
-from .solvers import SOLVER_FULL_TRUNCATED, SOLVER_MASTER_EQUATION, evaluate_point
+from .solvers import SOLVER_FULL_TRUNCATED, SOLVER_MASTER_EQUATION, check_threads
 from .sweep import (
     Axis,
     ResultRow,
     SweepConfig,
+    grid_rows,
     run_sweep,
+    write_csv,
     write_rows_csv,
     write_sidecar,
 )
@@ -48,137 +54,69 @@ def _base_params(j: float = _J_DEFAULT) -> SystemParams:
     return SystemParams(coupling_j=j, eps_a=_EPS_A, kappa_a=_KAPPA, kappa_b=_KAPPA)
 
 
-def _heatmap_config(name: str, count: int) -> tuple[SweepConfig, dict]:
+def _sweep_config(name: str, count: int) -> tuple[SweepConfig, dict | None]:
+    """SweepConfig of a heatmap (fig1a..fig2b, fig4a, fig4b) or cut (fig4c,
+    fig4d: phi scans at two fixed drive ratios), and the heatmap's reference
+    overlay (None for a cut)."""
     single = single_drive_optimum(_KAPPA, _J_DEFAULT)
-    if name == "fig1a":
-        cfg = SweepConfig(
-            base=_base_params(),
-            axis1=Axis("eta", 1.05, 20.0, count),
-            axis2=Axis("delta", 0.0, 5.0, count),
-            solver=SOLVER_MASTER_EQUATION,
-            constraints=("u := dual_drive_u",),
-        )
-        overlay = {"kind": "curve", "code": "ref = 10.0 / xs",
-                   "label": "delta = j/eta"}
-    elif name == "fig1b":
-        cfg = SweepConfig(
-            base=_base_params(),
-            axis1=Axis("eta", 1.05, 20.0, count),
-            axis2=Axis("delta", 0.0, 5.0, count),
-            solver=SOLVER_MASTER_EQUATION,
-            constraints=("u := single_drive_u",),
-        )
-        overlay = {"kind": "hline", "code": f"ref = {single.delta_opt!r}",
-                   "label": "single-drive delta_opt"}
-    elif name == "fig2a":
-        cfg = SweepConfig(
-            base=_base_params(),
-            axis1=Axis("eta", 1.05, 20.0, count),
-            axis2=Axis("u", 1e-3, 0.5, count, scale="log"),
-            solver=SOLVER_MASTER_EQUATION,
-            constraints=("delta := dual_drive_delta",),
-        )
-        overlay = {"kind": "curve",
-                   "code": "ref = 0.5 / 10.0 * xs / (xs**2 - 1.0)",
-                   "label": "dual-drive u_opt"}
-    elif name == "fig2b":
-        cfg = SweepConfig(
-            base=_base_params(),
-            axis1=Axis("eta", 1.05, 20.0, count),
-            axis2=Axis("u", 1e-3, 0.5, count, scale="log"),
-            solver=SOLVER_MASTER_EQUATION,
-            constraints=("delta := single_drive_delta",),
-        )
-        overlay = {"kind": "hline", "code": f"ref = {single.u_opt!r}",
-                   "label": "single-drive u_opt"}
-    elif name == "fig4a":
-        cfg = SweepConfig(
-            base=_base_params(),
-            axis1=Axis("phi", 0.0, math.pi / 2, count),
-            axis2=Axis("eta_inv", 0.01, 0.2, count),
-            solver=SOLVER_MASTER_EQUATION,
-            constraints=("delta := dual_drive_delta", "u := dual_drive_u"),
-        )
-        overlay = {"kind": "curve_x",
-                   "code": "ref = np.arctan(1.0 / (2.0 * 10.0 * ys))",
-                   "label": "bunching phase curve"}
-    elif name == "fig4b":
-        cfg = SweepConfig(
-            base=_base_params(),
-            axis1=Axis("phi", 0.0, math.pi / 2, count),
-            axis2=Axis("eta_inv", 0.01, 0.2, count),
-            solver=SOLVER_MASTER_EQUATION,
-            constraints=("delta := single_drive_delta", "u := single_drive_u"),
-        )
-        overlay = {"kind": "point",
-                   "code": f"ref = ({math.pi / 3!r}, {1.0 / (math.sqrt(3.0) * _J_DEFAULT)!r})",
-                   "label": "one-photon interference zero"}
-    else:
-        raise ValueError(name)
-    return cfg, overlay
-
-
-def _run_cut_figure(name: str, count: int, threads: int):
-    """fig4c/fig4d: phi scans at two fixed drive ratios."""
-    cuts = _FIG4C_CUTS if name == "fig4c" else _FIG4D_CUTS
-    constraints = (
-        ("delta := dual_drive_delta", "u := dual_drive_u")
-        if name == "fig4c"
-        else ("delta := single_drive_delta", "u := single_drive_u")
-    )
-    cfg = SweepConfig(
-        base=_base_params(),
-        axis1=Axis("eta_inv", cuts[0], cuts[1], 2),
-        axis2=Axis("phi", 0.0, math.pi / 2, count),
-        solver=SOLVER_MASTER_EQUATION,
-        constraints=constraints,
-    )
-    return run_sweep(cfg, threads=threads), cfg
+    eta, delta = Axis("eta", 1.05, 20.0, count), Axis("delta", 0.0, 5.0, count)
+    u = Axis("u", 1e-3, 0.5, count, scale="log")
+    phi, eta_inv = Axis("phi", 0.0, math.pi / 2, count), Axis("eta_inv", 0.01, 0.2, count)
+    dual_rules = ("delta := dual_drive_delta", "u := dual_drive_u")
+    single_rules = ("delta := single_drive_delta", "u := single_drive_u")
+    axis1, axis2, constraints, overlay = {
+        "fig1a": (eta, delta, ("u := dual_drive_u",),
+                  {"kind": "curve", "code": "ref = 10.0 / xs", "label": "delta = j/eta"}),
+        "fig1b": (eta, delta, ("u := single_drive_u",),
+                  {"kind": "hline", "code": f"ref = {single.delta_opt!r}",
+                   "label": "single-drive delta_opt"}),
+        "fig2a": (eta, u, ("delta := dual_drive_delta",),
+                  {"kind": "curve", "code": "ref = 0.5 / 10.0 * xs / (xs**2 - 1.0)",
+                   "label": "dual-drive u_opt"}),
+        "fig2b": (eta, u, ("delta := single_drive_delta",),
+                  {"kind": "hline", "code": f"ref = {single.u_opt!r}",
+                   "label": "single-drive u_opt"}),
+        "fig4a": (phi, eta_inv, dual_rules,
+                  {"kind": "curve_x", "code": "ref = np.arctan(1.0 / (2.0 * 10.0 * ys))",
+                   "label": "bunching phase curve"}),
+        "fig4b": (phi, eta_inv, single_rules,
+                  {"kind": "point", "label": "one-photon interference zero",
+                   "code": f"ref = ({math.pi / 3!r}, "
+                           f"{1.0 / (math.sqrt(3.0) * _J_DEFAULT)!r})"}),
+        "fig4c": (Axis("eta_inv", *_FIG4C_CUTS, 2), phi, dual_rules, None),
+        "fig4d": (Axis("eta_inv", *_FIG4D_CUTS, 2), phi, single_rules, None),
+    }[name]
+    return SweepConfig(base=_base_params(), axis1=axis1, axis2=axis2,
+                       solver=SOLVER_MASTER_EQUATION, constraints=constraints), overlay
 
 
 def _run_fig5(count: int, threads: int) -> list[ResultRow]:
     """g2 and mean photon number against the drive ratio for several
     couplings, at the single-drive optimum and a pi/3 relative phase."""
-    eta_inv_values = np.logspace(math.log10(0.005), math.log10(0.2), count)
-
-    def point(args):
-        j, eta_inv = args
-        opt = single_drive_optimum(_KAPPA, j)
-        params = symmetric_params(
-            j, delta=opt.delta_opt, u=opt.u_opt,
-            eta=math.inf if eta_inv == 0 else 1.0 / eta_inv,
-            phi=math.pi / 3, eps_a=_EPS_A, kappa=_KAPPA,
-        )
-        g2, mean_n = evaluate_point(params, SOLVER_MASTER_EQUATION)
-        return ResultRow(axis1=j, axis2=eta_inv, delta=opt.delta_opt,
-                         u=opt.u_opt, g2_a=g2, mean_n_a=mean_n,
-                         solver=SOLVER_MASTER_EQUATION)
-
-    tasks = [(j, e) for j in _FIG5_COUPLINGS for e in eta_inv_values]
-    if threads <= 1:
-        return [point(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(point, tasks))
+    eta_inv = np.logspace(math.log10(0.005), math.log10(0.2), count)
+    optima = [single_drive_optimum(_KAPPA, j) for j in _FIG5_COUPLINGS]
+    j = np.array(_FIG5_COUPLINGS)[:, None]
+    delta = np.array([opt.delta_opt for opt in optima])[:, None]
+    u = np.array([opt.u_opt for opt in optima])[:, None]
+    points = {
+        "delta_a": delta, "delta_b": delta, "coupling_j": j, "u_a": u, "u_b": u,
+        "eps_a": _EPS_A, "eps_b": _EPS_A / (1.0 / eta_inv),  # as symmetric_params
+        "phi_a": math.pi / 3, "phi_b": 0.0, "kappa_a": _KAPPA, "kappa_b": _KAPPA,
+    }
+    return grid_rows(j, eta_inv, points, SOLVER_MASTER_EQUATION, threads=threads)
 
 
-def _run_fig3(which: str, count: int, threads: int):
-    """Optimal detuning (fig3a) or Kerr strength (fig3b) against the drive
-    ratio: numeric minimization next to both analytic references."""
-    etas = np.logspace(math.log10(1.2), 2.0, count)
+def _run_fig3(column: str, count: int) -> list[tuple]:
+    """Optimal detuning (column delta_opt, fig3a) or Kerr strength (u_opt,
+    fig3b) against the drive ratio: numeric minimization next to both
+    analytic references."""
     single = single_drive_optimum(_KAPPA, _J_DEFAULT)
-
-    def point(eta):
-        numeric = numeric_optimum(_KAPPA, _J_DEFAULT, eta, 0.0,
-                                  solver=SOLVER_FULL_TRUNCATED)
-        dual = dual_drive_optimum_asymptotic(_KAPPA, _J_DEFAULT, eta)
-        if which == "fig3a":
-            return (eta, numeric.delta_opt, dual.delta_opt, single.delta_opt)
-        return (eta, numeric.u_opt, dual.u_opt, single.u_opt)
-
-    if threads <= 1:
-        return [point(e) for e in etas]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(point, etas))
+    records = []
+    for eta in np.logspace(math.log10(1.2), 2.0, count):
+        optima = (numeric_optimum(_KAPPA, _J_DEFAULT, eta, 0.0, solver=SOLVER_FULL_TRUNCATED),
+                  dual_drive_optimum_asymptotic(_KAPPA, _J_DEFAULT, eta), single)
+        records.append((eta, *(getattr(optimum, column) for optimum in optima)))
+    return records
 
 
 _HEATMAP_SCRIPT = """\
@@ -302,13 +240,19 @@ def figure(
 ) -> dict:
     """Produce one figure dataset: CSV, metadata sidecar, and plot script.
 
-    count overrides the default grid resolution (101 for sweeps and cuts,
-    21 for the optimizer curves). Returns the written paths.
+    count overrides the default grid resolution (101 for the heatmaps and
+    fig5, 201 for the cuts, 21 for the optimizer curves) and must be an
+    integer of at least 2. threads splits the grid as in evaluate_grid; the
+    optimizer curves run on one thread. Returns the written paths.
     """
     if name not in FIGURE_NAMES:
         raise ValueError(
             f"unknown figure {name!r}; valid names: {', '.join(FIGURE_NAMES)}"
         )
+    if count is not None and (isinstance(count, bool)
+                              or not isinstance(count, numbers.Integral) or count < 2):
+        raise ValueError(f"count must be an integer of at least 2, got {count!r}")
+    check_threads(threads)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{name}.csv"
@@ -316,22 +260,7 @@ def figure(
     script_path = out / f"{name}_plot.py"
     meta: dict = {"figure": name}
 
-    if name in ("fig1a", "fig1b", "fig2a", "fig2b", "fig4a", "fig4b"):
-        cfg, overlay = _heatmap_config(name, count or 101)
-        rows = run_sweep(cfg, threads=threads)
-        write_rows_csv(rows, csv_path, cfg.axis1.parameter, cfg.axis2.parameter)
-        yscale = 'ax.set_yscale("log")' if cfg.axis2.scale == "log" else ""
-        script = _fill(_HEATMAP_SCRIPT, NAME=name, AX1=cfg.axis1.parameter,
-                       AX2=cfg.axis2.parameter, OVERLAY=_overlay_lines(overlay),
-                       YSCALE=yscale)
-        meta["config"] = cfg.to_dict()
-    elif name in ("fig4c", "fig4d"):
-        rows, cfg = _run_cut_figure(name, count or 201, threads)
-        write_rows_csv(rows, csv_path, "eta_inv", "phi")
-        script = _fill(_LINES_SCRIPT, NAME=name, GROUP="eta_inv", AX="phi",
-                       VALUE="g2_a", XSCALE="")
-        meta["config"] = cfg.to_dict()
-    elif name in ("fig5a", "fig5b"):
+    if name in ("fig5a", "fig5b"):
         rows = _run_fig5(count or 101, threads)
         write_rows_csv(rows, csv_path, "coupling_j", "eta_inv")
         value = "g2_a" if name == "fig5a" else "mean_n_a"
@@ -342,20 +271,30 @@ def figure(
             "couplings": list(_FIG5_COUPLINGS), "phi": math.pi / 3,
             "eps_a": _EPS_A, "optimum": "single_drive",
         }
-    else:  # fig3a / fig3b
+    elif name in ("fig3a", "fig3b"):
         column = "delta_opt" if name == "fig3a" else "u_opt"
-        records = _run_fig3(name, count or 21, threads)
-        with open(csv_path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["eta", f"{column}_numeric",
+        write_csv(csv_path, ["eta", f"{column}_numeric",
                              f"{column}_dual_asymptotic",
-                             f"{column}_single_asymptotic"])
-            for record in records:
-                writer.writerow([f"{v:.17g}" for v in record])
+                             f"{column}_single_asymptotic"],
+                  _run_fig3(column, count or 21))
         yscale = 'ax.set_yscale("log")' if name == "fig3b" else ""
         script = _fill(_OPTIMUM_SCRIPT, NAME=name, COL=column, YSCALE=yscale)
         meta["bindings"] = {"coupling_j": _J_DEFAULT, "phi": 0.0,
                             "eps_a": _EPS_A, "solver": SOLVER_FULL_TRUNCATED}
+    else:  # the heatmaps and the fig4c/fig4d cuts
+        cuts = name in ("fig4c", "fig4d")
+        cfg, overlay = _sweep_config(name, count or (201 if cuts else 101))
+        write_rows_csv(run_sweep(cfg, threads=threads), csv_path,
+                       cfg.axis1.parameter, cfg.axis2.parameter)
+        meta["config"] = cfg.to_dict()
+        if cuts:
+            script = _fill(_LINES_SCRIPT, NAME=name, GROUP="eta_inv", AX="phi",
+                           VALUE="g2_a", XSCALE="")
+        else:
+            yscale = 'ax.set_yscale("log")' if cfg.axis2.scale == "log" else ""
+            script = _fill(_HEATMAP_SCRIPT, NAME=name, AX1=cfg.axis1.parameter,
+                           AX2=cfg.axis2.parameter, OVERLAY=_overlay_lines(overlay),
+                           YSCALE=yscale)
 
     script_path.write_text(script)
     write_sidecar(meta_path, meta)

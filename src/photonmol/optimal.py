@@ -296,7 +296,7 @@ def numeric_optimum(
     deltas = np.linspace(0.05 * kappa, 1.2 * j, grid_points)
     u_values = np.logspace(-4, 0, grid_points) * kappa
     base = symmetric_params(j, eta=eta, phi=phi, eps_a=eps_a, kappa=kappa)
-    g2_grid, _ = evaluate_grid(
+    g2_grid, _, _ = evaluate_grid(
         base.to_dict() | {"delta_a": deltas, "delta_b": deltas,
                           "u_a": u_values[:, None], "u_b": u_values[:, None]},
         solver, n_max=n_max,

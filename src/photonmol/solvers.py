@@ -7,9 +7,16 @@ Solver ids (as used in JSON configs and on the command line):
 * "Hierarchy"       closed-form one-photon amplitudes plus the 3x3
                     two-photon system,
 * "FullTruncated"   the full 5x5 steady amplitude system.
+
+evaluate_point answers one point. evaluate_grid is the one grid evaluator
+(sweeps, figure recipes and the optimizer's coarse grid all call it) and
+the package's one thread pool: threads split a grid in chunks.
 """
 
+import math
+import numbers
 from collections.abc import Mapping
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -73,20 +80,30 @@ def evaluate_point(
     return g2_approx(amps), mean_photon_approx(amps)
 
 
-def evaluate_grid(
-    points: Mapping[str, object], solver: str, n_max: int = DEFAULT_N_MAX
-) -> tuple[np.ndarray, np.ndarray]:
-    """(g2_a, mean_n_a) arrays over a grid of parameter points.
+def check_threads(threads) -> None:
+    """ValueError unless threads is a positive integer."""
+    if isinstance(threads, bool) or not isinstance(threads, numbers.Integral) or threads < 1:
+        raise ValueError(f"threads must be a positive integer, got {threads!r}")
+
+
+def evaluate_grid(points: Mapping[str, object], solver: str, n_max: int = DEFAULT_N_MAX,
+                  threads: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(g2_a, mean_n_a, error) arrays over a grid of parameter points.
 
     points maps SystemParams field names to scalars or arrays that
     broadcast together; omitted fields take SystemParams' defaults, and
-    every point is checked as SystemParams checks it. The weak-drive
-    solvers build and solve their linear systems as stacks of at most
-    GRID_CHUNK points; MasterEquation evaluates point by point. Both
-    results are NaN where evaluate_point would raise SolverError, and g2
-    also where evaluate_point returns None.
+    every point is checked as SystemParams checks it. error holds the
+    message of what evaluate_point would raise at a point, "" elsewhere;
+    g2 is NaN there and where evaluate_point returns None, mean n there.
+
+    threads workers share chunks of at most GRID_CHUNK points. The
+    weak-drive solvers solve a chunk as a stack; MasterEquation points,
+    points the stack flags as singular and chunks it refuses go through
+    evaluate_point one by one. The values do not depend on threads.
     """
     solver = normalize_solver(solver)
+    check_threads(threads)
+    HilbertSpec(n_max, n_max)  # a bad cutoff fails the call, not each point
     unknown = set(points) - set(PARAM_FIELDS)
     if unknown:
         raise ValueError(f"unknown parameter fields: {sorted(unknown)}")
@@ -95,38 +112,46 @@ def evaluate_grid(
         np.asarray(points.get(name, getattr(defaults, name)), dtype=float)
         for name in PARAM_FIELDS
     ))
-    g2, mean_n = np.empty(fields[0].shape), np.empty(fields[0].shape)
-    if g2.size == 0:
-        return g2, mean_n
+    shape, size = fields[0].shape, fields[0].size
+    g2, mean_n = np.full(size, np.nan), np.full(size, np.nan)
+    error = np.full(size, "", dtype=object)
+    if size == 0:
+        return g2.reshape(shape), mean_n.reshape(shape), error.reshape(shape)
     # SystemParams bounds each field on its own, so a grid is valid when
     # every field's smallest and largest values are.
     for extreme in (np.min, np.max):
         SystemParams(**{name: float(extreme(values))
                         for name, values in zip(PARAM_FIELDS, fields)})
-    evaluate_chunk = {
-        SOLVER_MASTER_EQUATION: lambda chunk: _master_equation_chunk(chunk, n_max),
-        SOLVER_HIERARCHY: hierarchy_grid,
-        SOLVER_FULL_TRUNCATED: full_truncated_grid,
-    }[solver]
-    for start in range(0, g2.size, GRID_CHUNK):
-        stop = min(start + GRID_CHUNK, g2.size)
-        chunk = SimpleNamespace(**{name: values.flat[start:stop]
-                               for name, values in zip(PARAM_FIELDS, fields)})
-        g2.flat[start:stop], mean_n.flat[start:stop] = evaluate_chunk(chunk)
-    return g2, mean_n
+    columns = [values.ravel() for values in fields]
+    stacked = {SOLVER_HIERARCHY: hierarchy_grid,
+               SOLVER_FULL_TRUNCATED: full_truncated_grid}.get(solver)
 
+    def evaluate(chunk: slice) -> None:
+        pending = range(size)[chunk]
+        if stacked is not None:
+            try:
+                g2[chunk], mean_n[chunk] = stacked(SimpleNamespace(**{
+                    name: column[chunk] for name, column in zip(PARAM_FIELDS, columns)}))
+            except (ValueError, np.linalg.LinAlgError):
+                pass  # an asymmetric Hierarchy point or an exactly singular matrix
+            else:
+                pending = pending.start + np.flatnonzero(np.isnan(mean_n[chunk]))
+        for i in pending:  # g2 and mean n are NaN at these points
+            # Python floats, so the point computes as a hand-built SystemParams.
+            params = SystemParams(**{name: column[i].item()
+                                     for name, column in zip(PARAM_FIELDS, columns)})
+            try:
+                g2_i, mean_n[i] = evaluate_point(params, solver, n_max)
+            except (SolverError, np.linalg.LinAlgError, ValueError) as err:
+                error[i] = str(err)
+                continue
+            g2[i] = math.nan if g2_i is None else g2_i
 
-def _master_equation_chunk(chunk: SimpleNamespace, n_max: int):
-    """evaluate_grid's MasterEquation path: one steady-state solve per point."""
-    g2 = np.full(chunk.delta_a.size, np.nan)
-    mean_n = np.full(chunk.delta_a.size, np.nan)
-    columns = [getattr(chunk, name).tolist() for name in PARAM_FIELDS]
-    for i, values in enumerate(zip(*columns)):
-        params = SystemParams(**dict(zip(PARAM_FIELDS, values)))
-        try:
-            g2_i, mean_n[i] = evaluate_point(params, SOLVER_MASTER_EQUATION, n_max)
-        except (SolverError, np.linalg.LinAlgError):
-            continue
-        if g2_i is not None:
-            g2[i] = g2_i
-    return g2, mean_n
+    step = min(GRID_CHUNK, math.ceil(size / threads))
+    chunks = [slice(start, start + step) for start in range(0, size, step)]
+    if len(chunks) > 1 and threads > 1:
+        with ThreadPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
+            list(pool.map(evaluate, chunks))
+    else:
+        list(map(evaluate, chunks))
+    return g2.reshape(shape), mean_n.reshape(shape), error.reshape(shape)

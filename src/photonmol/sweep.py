@@ -5,13 +5,16 @@ quantities eta, eta_inv, phi, u, delta), a solver, and optional constraint
 rules that recompute dependent parameters at every grid point, e.g.
 "u := dual_drive_u" pins the Kerr strength to the dual-drive optimum for
 the point's current drive ratio.
+
+The rules run per point; the points are then one evaluate_grid call.
+write_csv is the package's one CSV writer; write_rows_csv feeds it sweep
+rows.
 """
 
 import csv
 import json
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,9 +22,9 @@ import numpy as np
 from ._version import __version__
 from .errors import SolverError
 from .fock import HilbertSpec
-from .model import SystemParams, drive_ratios
+from .model import PARAM_FIELDS, SystemParams, drive_ratios
 from .optimal import dual_drive_optimum_asymptotic, single_drive_optimum
-from .solvers import DEFAULT_N_MAX, evaluate_point, normalize_solver
+from .solvers import DEFAULT_N_MAX, evaluate_grid, evaluate_point, normalize_solver
 
 DERIVED_AXES = ("eta", "eta_inv", "phi", "u", "delta")
 
@@ -241,62 +244,75 @@ def run_point(
     )
 
 
-def _grid_point(config: SweepConfig, v1: float, v2: float) -> ResultRow:
-    try:
-        params = apply_axis(config.base, config.axis1.parameter, v1)
-        params = apply_axis(params, config.axis2.parameter, v2)
-        params = apply_constraints(params, config.constraints)
-        g2, mean_n = evaluate_point(params, config.solver)
-        return ResultRow(axis1=v1, axis2=v2, delta=params.delta_a,
-                         u=params.u_a, g2_a=g2, mean_n_a=mean_n,
-                         solver=config.solver)
-    except (SolverError, np.linalg.LinAlgError, ValueError) as err:
-        return ResultRow(axis1=v1, axis2=v2, delta=math.nan, u=math.nan,
-                         g2_a=None, mean_n_a=None, solver=config.solver,
-                         error=str(err))
+def _failed_row(v1: float, v2: float, solver: str, message: str) -> ResultRow:
+    return ResultRow(axis1=v1, axis2=v2, delta=math.nan, u=math.nan, g2_a=None,
+                     mean_n_a=None, solver=solver, error=message)
+
+
+def grid_rows(axis1, axis2, points: dict, solver: str, threads: int = 1) -> list[ResultRow]:
+    """Rows of one evaluate_grid call on points (holding delta_a and u_a),
+    in C order; axis1 and axis2 broadcast with the fields."""
+    g2, mean_n, error = evaluate_grid(points, solver, threads=threads)
+    columns = np.broadcast_arrays(axis1, axis2, points["delta_a"], points["u_a"],
+                                  g2, mean_n, error)
+    return [
+        _failed_row(v1, v2, solver, err) if err else
+        ResultRow(axis1=v1, axis2=v2, delta=delta, u=u,
+                  g2_a=None if math.isnan(g2_i) else g2_i, mean_n_a=mean_n_i,
+                  solver=solver)
+        for v1, v2, delta, u, g2_i, mean_n_i, err in zip(
+            *(column.ravel().tolist() for column in columns))
+    ]
 
 
 def run_sweep(config: SweepConfig, threads: int = 1) -> list[ResultRow]:
     """Evaluate the full grid, axis1 outer, axis2 inner.
 
-    Grid points are independent; with threads > 1 they are distributed over
-    a worker pool and re-ordered by grid index, so the result is identical
-    to the sequential run. Per-point errors are recorded in the row and the
-    sweep continues.
+    The axes and constraint rules set each point's parameters, and the
+    points are one evaluate_grid call, so the rows do not depend on
+    threads. Where the rules raise ValueError or the solver fails, the row
+    keeps the message in error and the sweep continues.
     """
-    points = [(v1, v2) for v1 in config.axis1.values()
-              for v2 in config.axis2.values()]
-    if threads <= 1:
-        return [_grid_point(config, v1, v2) for v1, v2 in points]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda p: _grid_point(config, *p), points))
+    rows, points = [], []
+    for v1 in config.axis1.values():
+        for v2 in config.axis2.values():
+            try:
+                params = apply_axis(config.base, config.axis1.parameter, v1)
+                params = apply_axis(params, config.axis2.parameter, v2)
+                params = apply_constraints(params, config.constraints)
+            except ValueError as err:
+                rows.append(_failed_row(v1, v2, config.solver, str(err)))
+                continue
+            points.append([v1, v2] + [getattr(params, name) for name in PARAM_FIELDS])
+            rows.append(None)  # solved below
+    v1, v2, *fields = np.array(points, dtype=float).reshape(-1, 2 + len(PARAM_FIELDS)).T
+    solved = iter(grid_rows(v1, v2, dict(zip(PARAM_FIELDS, fields)), config.solver,
+                            threads=threads))
+    return [row or next(solved) for row in rows]
 
 
 def _format_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float) and math.isnan(value):
-        return ""
     if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+        return "" if math.isnan(value) else f"{value:.17g}"
+    return "" if value is None else str(value)
+
+
+def write_csv(path, header, records) -> None:
+    """RFC-4180 style CSV: floats with 17 significant digits, None and NaN
+    as empty cells. The package's one CSV writer."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows([_format_value(v) for v in record] for record in records)
 
 
 def write_rows_csv(rows, path, axis1_name: str, axis2_name: str) -> None:
-    """RFC-4180 style CSV; undefined g2 becomes an empty cell plus a flag."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([axis1_name, axis2_name, "delta_used", "u_used",
-                         "g2_a", "g2_a_undefined", "mean_n_a", "solver",
-                         "error"])
-        for row in rows:
-            undefined = row.g2_a is None and not row.error
-            writer.writerow([
-                _format_value(row.axis1), _format_value(row.axis2),
-                _format_value(row.delta), _format_value(row.u),
-                _format_value(row.g2_a), "true" if undefined else "false",
-                _format_value(row.mean_n_a), row.solver, row.error,
-            ])
+    """Sweep rows as CSV; undefined g2 becomes an empty cell plus a flag."""
+    write_csv(path, [axis1_name, axis2_name, "delta_used", "u_used", "g2_a",
+                     "g2_a_undefined", "mean_n_a", "solver", "error"],
+              ([row.axis1, row.axis2, row.delta, row.u, row.g2_a,
+                "true" if row.g2_a is None and not row.error else "false",
+                row.mean_n_a, row.solver, row.error] for row in rows))
 
 
 def write_sidecar(path, payload: dict) -> None:

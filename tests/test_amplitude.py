@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from photonmol import (
 )
 from photonmol.errors import SolverError
 from photonmol.model import PARAM_FIELDS
+import photonmol.solvers as solvers
 from photonmol.solvers import GRID_CHUNK, evaluate_grid, evaluate_point
 
 SQRT2 = math.sqrt(2.0)
@@ -373,18 +375,22 @@ def grid_points(solver, count):
 @pytest.mark.parametrize("solver", [SOLVER_FULL_TRUNCATED, SOLVER_HIERARCHY])
 def test_grid_matches_point_evaluation(solver):
     rows, points = grid_points(solver, GRID_CHUNK + 1)  # spans two chunks
-    g2, mean_n = evaluate_grid(points, solver)
-    expected_g2, expected_mean = [], []
+    g2, mean_n, error = evaluate_grid(points, solver)
+    expected_g2, expected_mean, expected_error = [], [], []
     for params in rows:
         try:
             g2_p, mean_p = evaluate_point(params, solver)
-        except SolverError:
+            expected_error.append("")
+        except SolverError as err:
             g2_p, mean_p = math.nan, math.nan
+            expected_error.append(str(err))
         expected_g2.append(math.nan if g2_p is None else g2_p)
         expected_mean.append(mean_p)
     expected_g2, expected_mean = np.array(expected_g2), np.array(expected_mean)
 
     middle = GRID_CHUNK // 2
+    assert error.tolist() == expected_error
+    assert "is singular" in error[middle]
     assert np.isnan(expected_g2[[1, middle]]).all()
     assert np.isnan(expected_mean[middle]) and expected_mean[1] == 0.0
     assert np.isfinite(g2[[0, middle - 1, middle + 1, GRID_CHUNK]]).all()
@@ -398,29 +404,31 @@ def test_grid_matches_point_evaluation(solver):
 def test_grid_broadcasts_and_defaults():
     deltas = np.linspace(-2.0, 2.0, 5)
     u_values = np.array([0.0, 0.05, 0.1])
-    g2, mean_n = evaluate_grid(
+    g2, mean_n, error = evaluate_grid(
         {"delta_a": deltas, "delta_b": deltas, "u_a": u_values[:, None],
          "u_b": u_values[:, None], "coupling_j": 4.0, "eps_a": 0.01},
         "fulltruncated")
-    assert g2.shape == mean_n.shape == (3, 5)
+    assert g2.shape == mean_n.shape == error.shape == (3, 5)
+    assert not error.any()
     for i, u in enumerate(u_values):
         for k, delta in enumerate(deltas):
             params = SystemParams(delta_a=delta, delta_b=delta, u_a=u, u_b=u,
                                   coupling_j=4.0, eps_a=0.01)
             assert (g2[i, k], mean_n[i, k]) == evaluate_point(params, "FullTruncated")
     empty = evaluate_grid({"delta_a": np.array([])}, "Hierarchy")
-    assert empty[0].shape == empty[1].shape == (0,)
+    assert empty[0].shape == empty[1].shape == empty[2].shape == (0,)
 
 
 def test_grid_master_equation_falls_back_to_points():
     points = {"delta_a": np.array([0.3, 0.8]), "delta_b": np.array([0.3, 0.8]),
               "coupling_j": 3.0, "u_a": 0.05, "u_b": 0.05,
               "eps_a": np.array([0.01, 0.0])}
-    g2, mean_n = evaluate_grid(points, "MasterEquation", n_max=2)
+    g2, mean_n, error = evaluate_grid(points, "MasterEquation", n_max=2)
     params = SystemParams(delta_a=0.3, delta_b=0.3, coupling_j=3.0, u_a=0.05,
                           u_b=0.05, eps_a=0.01)
     assert (g2[0], mean_n[0]) == evaluate_point(params, "MasterEquation", n_max=2)
     assert np.isnan(g2[1]) and mean_n[1] == 0.0
+    assert error.tolist() == ["", ""]
 
 
 @pytest.mark.parametrize("points", [
@@ -437,6 +445,57 @@ def test_grid_rejects_what_system_params_rejects(points):
 
 
 def test_grid_hierarchy_rejects_asymmetric_points():
-    with pytest.raises(ValueError, match="full_truncated_steady"):
-        evaluate_grid({"delta_a": np.array([0.0, 1.0]), "delta_b": 0.0},
-                      "Hierarchy")
+    points = {"delta_a": np.array([0.0, 1.0]), "delta_b": 0.0,
+              "coupling_j": 3.0, "eps_a": 0.01}
+    g2, mean_n, error = evaluate_grid(points, "Hierarchy")
+    symmetric = SystemParams(coupling_j=3.0, eps_a=0.01)
+    assert (g2[0], mean_n[0]) == evaluate_point(symmetric, "Hierarchy")
+    assert error[0] == ""
+    with pytest.raises(ValueError, match="full_truncated_steady") as raised:
+        evaluate_point(symmetric.replace(delta_a=1.0), "Hierarchy")
+    assert error[1] == str(raised.value)
+    assert np.isnan(g2[1]) and np.isnan(mean_n[1])
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_grid_rejects_non_positive_threads(threads):
+    with pytest.raises(ValueError, match="threads"):
+        evaluate_grid({"delta_a": np.zeros(4)}, "FullTruncated", threads=threads)
+
+
+@pytest.mark.parametrize("solver", [SOLVER_FULL_TRUNCATED, "MasterEquation"])
+def test_grid_rejects_bad_cutoff_for_the_whole_call(solver):
+    with pytest.raises(ValueError, match="cutoff"):
+        evaluate_grid({"delta_a": np.zeros(3), "eps_a": 0.01}, solver, n_max=-1)
+
+
+@pytest.mark.parametrize("size, threads, chunks", [
+    (16, 2, [8, 8]),
+    (16, 3, [6, 6, 4]),
+    (GRID_CHUNK + 1, 1, [GRID_CHUNK, 1]),
+])
+def test_grid_threads_split_the_chunks(monkeypatch, size, threads, chunks):
+    seen = []
+    stacked = solvers.full_truncated_grid
+
+    def recording(params):
+        seen.append(params.delta_a.size)
+        return stacked(params)
+
+    monkeypatch.setattr(solvers, "full_truncated_grid", recording)
+    evaluate_grid({"delta_a": np.zeros(size)}, "FullTruncated", threads=threads)
+    assert sorted(seen, reverse=True) == chunks
+
+
+def test_grid_threads_agree_under_fast_switching():
+    _, points = grid_points(SOLVER_FULL_TRUNCATED, 3 * GRID_CHUNK // 2)
+    serial = evaluate_grid(points, SOLVER_FULL_TRUNCATED)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = evaluate_grid(points, SOLVER_FULL_TRUNCATED, threads=3)
+    finally:
+        sys.setswitchinterval(interval)
+    for want, got in zip(serial, threaded):
+        assert np.array_equal(want, got, equal_nan=want.dtype != object)
+    assert serial[2].any()  # the flagged point went through evaluate_point

@@ -143,6 +143,30 @@ def test_sweep_with_malformed_config_is_one_line_usage_error(tmp_path, capsys,
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("figure", "fig5a", "--count", "0"),
+    ("figure", "fig5a", "--count", "1"),
+    ("figure", "fig3a", "--count", "1"),
+    ("figure", "fig4c", "--threads", "-1"),
+    ("figure", "fig3a", "--threads", "0"),
+    ("sweep", "--threads", "0"),
+])
+def test_bad_count_or_threads_is_one_line_usage_error(tmp_path, capsys, argv):
+    config_path = tmp_path / "sweep.json"
+    config_path.write_text(json.dumps({
+        "base": {"coupling_j": 3.0, "eps_a": 0.01},
+        "axis1": {"parameter": "delta", "min": 0.0, "max": 1.0, "count": 2},
+        "axis2": {"parameter": "phi", "min": 0.0, "max": 1.0, "count": 2},
+        "solver": "Hierarchy",
+    }))
+    out_args = (("--config", str(config_path), "--out", str(tmp_path / "x.csv"))
+                if argv[0] == "sweep" else ("--out-dir", str(tmp_path / "figs")))
+    code, _, err = run_cli(capsys, *argv, *out_args)
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "figs").exists()
+
+
 def test_figure_unknown_name(capsys, tmp_path):
     code, _, err = run_cli(capsys, "figure", "fig9", "--out-dir", str(tmp_path))
     assert code == 1

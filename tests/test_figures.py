@@ -105,3 +105,13 @@ def test_figure_threads_equivalent(tmp_path):
     parallel = figure("fig2a", tmp_path / "par", count=5, threads=3)
     assert (open(sequential["csv"], "rb").read()
             == open(parallel["csv"], "rb").read())
+
+
+@pytest.mark.parametrize("name, count", [
+    ("fig5a", 0), ("fig5a", 1), ("fig3a", 0), ("fig3a", 1), ("fig1a", 0),
+    ("fig4c", 2.5), ("fig5b", True),
+])
+def test_figure_rejects_counts_below_two(tmp_path, name, count):
+    with pytest.raises(ValueError, match="count"):
+        figure(name, tmp_path / "out", count=count)
+    assert not (tmp_path / "out").exists()

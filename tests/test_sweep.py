@@ -17,6 +17,7 @@ from photonmol import (
     symmetric_params,
     sweep_to_files,
 )
+from photonmol.solvers import evaluate_point
 from photonmol.sweep import apply_axis, apply_constraints, parse_constraint
 
 SQRT3 = math.sqrt(3.0)
@@ -93,16 +94,56 @@ def test_sweep_row_order_axis1_outer():
     assert np.allclose([r.axis2 for r in rows], axis2_expected)
 
 
-def test_sweep_threads_equivalent(tmp_path):
-    config = linear_config(count=3)
+@pytest.mark.parametrize("solver", ["MasterEquation", "Hierarchy", "FullTruncated"])
+def test_sweep_threads_equivalent(tmp_path, solver):
+    config = linear_config(count=3, solver=solver)
     sequential = run_sweep(config, threads=1)
-    parallel = run_sweep(config, threads=3)
-    assert sequential == parallel
+    for threads in (2, 3):
+        assert run_sweep(config, threads=threads) == sequential
 
-    out1, out2 = tmp_path / "seq.csv", tmp_path / "par.csv"
-    sweep_to_files(config, out1, threads=1)
-    sweep_to_files(config, out2, threads=3)
-    assert out1.read_bytes() == out2.read_bytes()
+    outputs = [tmp_path / f"threads{threads}.csv" for threads in (1, 2, 3)]
+    for threads, out in enumerate(outputs, start=1):
+        sweep_to_files(config, out, threads=threads)
+    assert outputs[0].read_bytes() == outputs[1].read_bytes() == outputs[2].read_bytes()
+
+
+ASYMMETRIC = ("closed-form amplitudes require equal detunings and dissipation "
+              "rates on both modes; use full_truncated_steady for the "
+              "asymmetric case")
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_hierarchy_sweep_keeps_asymmetric_rows_apart(threads):
+    base = SystemParams(coupling_j=3.0, eps_a=0.01, eps_b=0.005)
+    config = SweepConfig(base=base, axis1=Axis("delta_a", 0.0, 1.0, 3),
+                         axis2=Axis("phi", 0.0, 1.0, 3), solver="Hierarchy")
+    rows = run_sweep(config, threads=threads)
+    assert [r.error for r in rows] == [""] * 3 + [ASYMMETRIC] * 6
+    for row in rows[:3]:
+        g2, mean_n = evaluate_point(apply_axis(base, "phi", row.axis2), "Hierarchy")
+        assert (row.delta, row.u, row.g2_a, row.mean_n_a) == (0.0, 0.0, g2, mean_n)
+    for row in rows[3:]:
+        assert math.isnan(row.delta) and math.isnan(row.u)
+        assert row.g2_a is None and row.mean_n_a is None
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_full_truncated_sweep_keeps_singular_rows_apart(threads):
+    # kappa = 5e-324 leaves an exactly zero pivot ("Singular matrix" from
+    # numpy) at the first point and a zero row, which the determinant test
+    # flags, at the third; one such point must not fail the others.
+    config = SweepConfig(base=SystemParams(kappa_b=5e-324),
+                         axis1=Axis("kappa_a", 5e-324, 1.0, 2),
+                         axis2=Axis("delta", 0.0, 1.0, 2), solver="FullTruncated")
+    rows = run_sweep(config, threads=threads)
+    assert [r.error for r in rows] == [
+        "Singular matrix", "",
+        "truncated-manifold 5x5 system is singular (|det| ~ 0.000e+00)", ""]
+    for row in rows[1::2]:  # undriven: no photons, g2 undefined
+        assert (row.delta, row.u, row.g2_a, row.mean_n_a) == (1.0, 0.0, None, 0.0)
+    for row in rows[0::2]:
+        assert math.isnan(row.delta) and math.isnan(row.u)
+        assert row.g2_a is None and row.mean_n_a is None
 
 
 def test_sweep_csv_deterministic(tmp_path):
