@@ -137,6 +137,8 @@ def steady_state(liouv: np.ndarray) -> np.ndarray:
 
         residual = np.max(np.abs(liouv @ vec(rho)))
         tol = 1e-10 * max(np.max(np.abs(liouv)), 1.0)
+        if not math.isfinite(residual):  # NaN fails every comparison
+            raise SolverError(f"steady-state solve overflowed: residual {residual}")
         if residual > tol:
             cond = np.linalg.cond(system)
             raise SolverError(

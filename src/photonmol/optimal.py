@@ -275,6 +275,11 @@ def numeric_optimum(
     Nelder-Mead refinement in log coordinates to a relative parameter
     tolerance of refine_tol. Grid ties closer than 1e-12 prefer the weaker
     nonlinearity.
+
+    u is capped at the grid's top row (kappa), delta is free. A run ending
+    within refine_tol of the cap (in log u) at 1 < eta < inf is refined
+    again from the analytic optimum (exact at phi = 0 if it has u > 0, else
+    asymptotic; u clipped to the cap); the lower g2 wins, the first on a tie.
     """
     solver = normalize_solver(solver)
     if grid_points < 1:
@@ -307,18 +312,28 @@ def numeric_optimum(
             f"correlation non-finite over the whole grid at kappa={kappa}, "
             f"j={j}, eta={eta}, phi={phi}"
         )
-    best_xy = (deltas[best[1]], u_values[best[0]])
+    log_u_cap = math.log(u_values[-1])
 
-    result = minimize(
-        lambda x: objective(math.exp(x[0]), math.exp(x[1])),
-        np.log(best_xy),
-        method="Nelder-Mead",
-        options={"xatol": refine_tol, "fatol": math.inf, "maxiter": 800},
-    )
-    delta_opt, u_opt = (math.exp(v) for v in result.x)
-    return OptimalPoint(delta_opt=delta_opt, u_opt=u_opt,
-                        g2_min=objective(delta_opt, u_opt),
-                        method=METHOD_NUMERIC)
+    def refine(start) -> OptimalPoint:
+        result = minimize(lambda x: objective(math.exp(x[0]), math.exp(x[1])),
+                          np.log(start), method="Nelder-Mead",
+                          bounds=[(None, None), (None, log_u_cap)],
+                          options={"xatol": refine_tol, "fatol": math.inf, "maxiter": 800})
+        delta_opt, u_opt = (math.exp(v) for v in result.x)
+        return OptimalPoint(delta_opt=delta_opt, u_opt=u_opt,
+                            g2_min=objective(delta_opt, u_opt), method=METHOD_NUMERIC)
+
+    opt = refine((deltas[best[1]], u_values[best[0]]))
+    if log_u_cap - math.log(opt.u_opt) > refine_tol or not 1 < eta < math.inf:
+        return opt
+    try:
+        seed = dual_drive_optimum_exact_phi0(kappa, j, eta) if phi == 0 else None
+    except SolverError:
+        seed = None
+    if seed is None or seed.u_opt <= 0:
+        seed = dual_drive_optimum_asymptotic(kappa, j, eta)
+    second = refine((seed.delta_opt, min(seed.u_opt, u_values[-1])))
+    return second if second.g2_min < opt.g2_min else opt
 
 
 def c10_zero_condition(kappa: float, j: float, delta: float) -> BunchingCondition:

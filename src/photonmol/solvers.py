@@ -98,7 +98,7 @@ def evaluate_grid(points: Mapping[str, object], solver: str, n_max: int = DEFAUL
 
     threads workers share chunks of at most GRID_CHUNK points. The
     weak-drive solvers solve a chunk as a stack; MasterEquation points,
-    points the stack flags as singular and chunks it refuses go through
+    non-finite stacked results and refused chunks go through
     evaluate_point one by one. The values do not depend on threads.
     """
     solver = normalize_solver(solver)
@@ -135,16 +135,15 @@ def evaluate_grid(points: Mapping[str, object], solver: str, n_max: int = DEFAUL
             except (ValueError, np.linalg.LinAlgError):
                 pass  # an asymmetric Hierarchy point or an exactly singular matrix
             else:
-                pending = pending.start + np.flatnonzero(np.isnan(mean_n[chunk]))
-        for i in pending:  # g2 and mean n are NaN at these points
+                pending = pending.start + np.flatnonzero(~np.isfinite(g2[chunk] + mean_n[chunk]))
+        for i in pending:
             # Python floats, so the point computes as a hand-built SystemParams.
             params = SystemParams(**{name: column[i].item()
                                      for name, column in zip(PARAM_FIELDS, columns)})
             try:
                 g2_i, mean_n[i] = evaluate_point(params, solver, n_max)
             except (SolverError, np.linalg.LinAlgError, ValueError) as err:
-                error[i] = str(err)
-                continue
+                g2_i, mean_n[i], error[i] = None, math.nan, str(err)
             g2[i] = math.nan if g2_i is None else g2_i
 
     step = min(GRID_CHUNK, math.ceil(size / threads))

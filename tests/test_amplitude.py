@@ -353,21 +353,52 @@ def test_scalar_solvers_equal_explicit_formulas():
         assert amplitudes(hierarchy_steady(params)) == explicit_hierarchy(params)
 
 
-# Kerr strength at which the determinant test flags both solvers' systems:
-# one entry dwarfs the others, so |det| falls below 1e-14 * max|entry|^n.
-FLAGGED_U = 1e9
+@pytest.mark.parametrize("solver, u_a", [
+    (SOLVER_FULL_TRUNCATED, 1e7),
+    (SOLVER_FULL_TRUNCATED, 1e8),
+    (SOLVER_HIERARCHY, 1e8),
+])
+def test_strong_kerr_systems_are_solved(solver, u_a):
+    # One entry dwarfs the rest, yet the system stays regular (H - i Gamma/2);
+    # a determinant test |det| < 1e-14 max|entry|^n once rejected it.
+    params = SystemParams(coupling_j=3.0, delta_a=0.5, delta_b=0.5, u_a=u_a,
+                          eps_a=0.01, eps_b=0.005)
+    steady, explicit = {SOLVER_FULL_TRUNCATED: (full_truncated_steady, explicit_full_truncated),
+                        SOLVER_HIERARCHY: (hierarchy_steady, explicit_hierarchy)}[solver]
+    assert amplitudes(steady(params)) == explicit(params)
+    g2, mean_n = evaluate_point(params, solver)
+    assert math.isfinite(g2) and math.isfinite(mean_n)
+
+
+def test_overflow_raises_for_the_point_and_spares_its_grid_neighbours():
+    params = SystemParams(coupling_j=3.0, delta_a=0.5, delta_b=0.5, eps_a=1e160)
+    with pytest.raises(SolverError, match="overflowed") as raised:
+        evaluate_point(params, SOLVER_HIERARCHY)
+    g2, mean_n, error = evaluate_grid(
+        {"coupling_j": 3.0, "delta_a": 0.5, "delta_b": 0.5,
+         "eps_a": np.array([0.01, 1e160, 0.02])}, SOLVER_HIERARCHY)
+    assert error.tolist() == ["", str(raised.value), ""]
+    assert np.isnan(g2[1]) and np.isnan(mean_n[1])
+    for i, eps_a in ((0, 0.01), (2, 0.02)):
+        assert (g2[i], mean_n[i]) == evaluate_point(params.replace(eps_a=eps_a),
+                                                    SOLVER_HIERARCHY)
+
+
+# A Kerr strength nine orders above every other entry: the systems are
+# regular, and the grid solves them as stacks like any other point.
+STRONG_U = 1e9
 
 
 def grid_points(solver, count):
     """count seeded points (symmetric for the hierarchy) as field arrays,
     with eta = inf at the first, an undriven point at the second and a
-    flagged system in the middle."""
+    Kerr strength of STRONG_U in the middle."""
     rng = np.random.default_rng(67)
     rows = [random_params(rng, symmetric=solver == SOLVER_HIERARCHY)
             for _ in range(count)]
     rows[0] = rows[0].replace(eps_b=0.0)
     rows[1] = rows[1].replace(eps_a=0.0, eps_b=0.0)
-    rows[count // 2] = rows[count // 2].replace(u_a=FLAGGED_U)
+    rows[count // 2] = rows[count // 2].replace(u_a=STRONG_U)
     return rows, {name: np.array([getattr(p, name) for p in rows])
                   for name in PARAM_FIELDS}
 
@@ -389,11 +420,14 @@ def test_grid_matches_point_evaluation(solver):
     expected_g2, expected_mean = np.array(expected_g2), np.array(expected_mean)
 
     middle = GRID_CHUNK // 2
-    assert error.tolist() == expected_error
-    assert "is singular" in error[middle]
-    assert np.isnan(expected_g2[[1, middle]]).all()
-    assert np.isnan(expected_mean[middle]) and expected_mean[1] == 0.0
-    assert np.isfinite(g2[[0, middle - 1, middle + 1, GRID_CHUNK]]).all()
+    assert error.tolist() == expected_error == [""] * len(rows)
+    assert np.isnan(expected_g2[1]) and expected_mean[1] == 0.0
+    assert np.isfinite(g2[[0, middle - 1, middle, middle + 1, GRID_CHUNK]]).all()
+    explicit = explicit_full_truncated if solver == SOLVER_FULL_TRUNCATED \
+        else explicit_hierarchy
+    c10, _, c20, _, _ = explicit(rows[middle])
+    assert g2[middle] == pytest.approx(2 * abs(c20) ** 2 / abs(c10) ** 4, rel=1e-14)
+    assert mean_n[middle] == pytest.approx(abs(c10) ** 2, rel=1e-14)
     for got, want in ((g2, expected_g2), (mean_n, expected_mean)):
         assert np.array_equal(np.isfinite(got), np.isfinite(want))
         finite = np.isfinite(want)
@@ -489,6 +523,12 @@ def test_grid_threads_split_the_chunks(monkeypatch, size, threads, chunks):
 
 def test_grid_threads_agree_under_fast_switching():
     _, points = grid_points(SOLVER_FULL_TRUNCATED, 3 * GRID_CHUNK // 2)
+    # An undriven, uncoupled point with vanishing rates: its exactly singular
+    # matrix fails the stacked solve of its chunk, which then goes point by
+    # point.
+    singular = SystemParams(kappa_a=5e-324, kappa_b=5e-324)
+    for name in PARAM_FIELDS:
+        points[name][GRID_CHUNK // 4] = getattr(singular, name)
     serial = evaluate_grid(points, SOLVER_FULL_TRUNCATED)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -498,4 +538,4 @@ def test_grid_threads_agree_under_fast_switching():
         sys.setswitchinterval(interval)
     for want, got in zip(serial, threaded):
         assert np.array_equal(want, got, equal_nan=want.dtype != object)
-    assert serial[2].any()  # the flagged point went through evaluate_point
+    assert serial[2][GRID_CHUNK // 4] == "Singular matrix"

@@ -64,6 +64,15 @@ def test_point_solver_error_exit_code(capsys):
     assert "solver error" in err
 
 
+@pytest.mark.parametrize("solver", ["MasterEquation", "Hierarchy"])
+def test_point_overflow_is_a_solver_error(capsys, solver):
+    code, out, err = run_cli(capsys, "point", "--j", "3", "--eps-a", "1e160",
+                             "--delta", "0.5", "--solver", solver)
+    assert code == 2
+    assert out == ""  # no NaN or Infinity printed as JSON
+    assert err.startswith("solver error:") and "overflowed" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("point", "--j", "10", "--u", "nan"),
     ("point", "--j", "10", "--eps-b", "inf"),
@@ -85,6 +94,13 @@ def test_optimize_dual_drive(capsys):
     assert payload["delta_opt"] == pytest.approx(10.0 / 3.0, rel=0.10)
     assert payload["method"] == "Numeric"
     assert payload["g2_min"] < 1e-2
+
+
+def test_optimize_stays_in_the_weak_kerr_window(capsys):
+    code, out, _ = run_cli(capsys, "optimize", "--j", "11.64", "--eta", "10.64",
+                           "--phi", "1.43")
+    assert code == 0
+    assert json.loads(out)["u_opt"] <= 1.0
 
 
 def test_optimize_accepts_infinite_ratio(capsys):

@@ -55,6 +55,14 @@ def test_steady_state_matches_long_time_evolution():
     assert np.max(np.abs(direct - integrated)) < 1e-8
 
 
+def test_steady_state_rejects_a_non_finite_state():
+    # The solve overflows to NaN, and a NaN residual fails every comparison
+    # with the tolerance.
+    params = SystemParams(coupling_j=3.0, eps_a=1e160, delta_a=0.5, delta_b=0.5)
+    with pytest.raises(SolverError, match="overflowed"):
+        steady_state(liouvillian(params, SPEC))
+
+
 def test_evolve_zero_generator_returns_state():
     rho0 = vacuum()
     out = evolve(np.zeros((SPEC.dim**2, SPEC.dim**2), dtype=complex),

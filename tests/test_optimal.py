@@ -16,6 +16,7 @@ from photonmol import (
     single_drive_optimum,
     symmetric_params,
 )
+import photonmol.optimal as optimal
 from photonmol.errors import SolverError
 from photonmol.optimal import (
     _ordered_argmin,
@@ -222,6 +223,75 @@ def test_numeric_optimum_error_on_empty_grid():
     # standard domain, so force it with undriven parameters.
     with pytest.raises(SolverError):
         numeric_optimum(1.0, 10.0, math.inf, 0.0, eps_a=0.0, grid_points=2)
+
+
+# --- the optimiser's contract: the weak-Kerr window and the analytic optima --
+
+
+def workload_requests(seed, batches):
+    """(j, eta, phi) requests drawn as perfbench's optimize workload draws
+    them: j in [10, 20], eta log-uniform in [1.2, 100], and in each batch
+    one request at phi = 0 and one at phi in [0.05, pi/2]."""
+    rng = np.random.default_rng([seed, 2])
+
+    def request(phi):
+        j = rng.uniform(10.0, 20.0)
+        return j, 10.0 ** rng.uniform(math.log10(1.2), math.log10(100.0)), phi
+
+    out = []
+    for _ in range(batches):
+        out.append(request(0.0))
+        out.append(request(rng.uniform(0.05, math.pi / 2)))
+    return out
+
+
+# Requests whose refinement left the window at 0.2.0 (u_opt up to 2.6e5
+# kappa) or ended on its top edge far from the weak-Kerr dip.
+EDGE_REQUESTS = [
+    (11.64, 10.64, 1.43),
+    (18.50634687232882, 49.88371123353292, 0.0),
+    (16.71440429531723, 72.32992043726412, 1.449422021049345),
+]
+
+
+def analytic_bound(j, eta, phi):
+    """FullTruncated g2 at the asymptotic optimum and, at phi = 0, at the
+    exact one, whichever is lower, plus the benchmark's 1e-7 slack for
+    refine_tol."""
+    refs = [dual_drive_optimum_asymptotic(1.0, j, eta)]
+    if phi == 0.0:
+        refs.append(dual_drive_optimum_exact_phi0(1.0, j, eta))
+    return min(
+        evaluate_point(symmetric_params(j, delta=ref.delta_opt, u=ref.u_opt,
+                                        eta=eta, phi=phi), "FullTruncated")[0]
+        for ref in refs) + 1e-7
+
+
+@pytest.mark.parametrize("j, eta, phi", workload_requests(1, 20) + EDGE_REQUESTS)
+def test_numeric_optimum_stays_weak_kerr_and_beats_analytic(j, eta, phi):
+    opt = numeric_optimum(1.0, j, eta, phi)
+    assert opt.u_opt <= 1.0
+    assert opt.g2_min <= analytic_bound(j, eta, phi)
+
+
+def test_restart_when_the_exact_optimum_raises(monkeypatch):
+    def no_root(*args, **kwargs):
+        raise SolverError("no root")
+
+    j, eta, phi = EDGE_REQUESTS[1]
+    bound = analytic_bound(j, eta, phi)
+    monkeypatch.setattr(optimal, "dual_drive_optimum_exact_phi0", no_root)
+    opt = numeric_optimum(1.0, j, eta, phi)
+    assert opt.u_opt <= 1.0
+    assert opt.g2_min <= bound
+
+
+def test_restart_when_the_exact_optimum_has_negative_u():
+    # Near eta = 1 the exact phi = 0 optimum has u < 0 (here u = -3.89), so
+    # the restart seeds from the asymptotic one.
+    assert dual_drive_optimum_exact_phi0(1.0, 2.8983050847457625, 1.01).u_opt < 0
+    opt = numeric_optimum(1.0, 2.8983050847457625, 1.01, 0.0)
+    assert 0 < opt.u_opt <= 1.0 and math.isfinite(opt.g2_min)
 
 
 # numeric_optimum and dual_drive_optimum_exact_phi0 outputs of release 0.2.0,

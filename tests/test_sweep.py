@@ -130,15 +130,15 @@ def test_hierarchy_sweep_keeps_asymmetric_rows_apart(threads):
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_full_truncated_sweep_keeps_singular_rows_apart(threads):
     # kappa = 5e-324 leaves an exactly zero pivot ("Singular matrix" from
-    # numpy) at the first point and a zero row, which the determinant test
-    # flags, at the third; one such point must not fail the others.
+    # numpy) at the first point and a zero row at the third; one such point
+    # must not fail the others.
     config = SweepConfig(base=SystemParams(kappa_b=5e-324),
                          axis1=Axis("kappa_a", 5e-324, 1.0, 2),
                          axis2=Axis("delta", 0.0, 1.0, 2), solver="FullTruncated")
     rows = run_sweep(config, threads=threads)
     assert [r.error for r in rows] == [
         "Singular matrix", "",
-        "truncated-manifold 5x5 system is singular (|det| ~ 0.000e+00)", ""]
+        "Singular matrix", ""]
     for row in rows[1::2]:  # undriven: no photons, g2 undefined
         assert (row.delta, row.u, row.g2_a, row.mean_n_a) == (1.0, 0.0, None, 0.0)
     for row in rows[0::2]:
