@@ -6,13 +6,12 @@ Exit codes: 0 success, 1 usage error, 2 solver error.
 
 import argparse
 import json
-import math
 import sys
 
 from ._version import __version__
 from .errors import SolverError
 from .figures import FIGURE_NAMES, figure
-from .model import SystemParams
+from .model import SystemParams, apply_axis
 from .optimal import numeric_optimum
 from .solvers import (
     DEFAULT_N_MAX,
@@ -37,7 +36,8 @@ def _build_parser() -> argparse.ArgumentParser:
     point.add_argument("--j", type=float, help="coupling strength")
     point.add_argument("--eta", type=float,
                        help="drive ratio eps_a/eps_b ('inf' for mode A only)")
-    point.add_argument("--phi", type=float, help="relative drive phase (on mode A)")
+    point.add_argument("--phi", type=float,
+                       help="relative drive phase: phi_a = phi_b + phi")
     point.add_argument("--delta", type=float, help="common detuning")
     point.add_argument("--u", type=float, help="common Kerr strength")
     point.add_argument("--delta-a", type=float)
@@ -82,30 +82,21 @@ def _params_from_args(args) -> SystemParams:
             params = SystemParams.from_dict(json.load(handle))
     else:
         params = SystemParams(eps_a=0.01)
-    if args.eta is not None and args.eps_b is not None:
-        raise ValueError("--eta and --eps-b are mutually exclusive")
+    for derived, field in (("eta", "eps_b"), ("phi", "phi_a")):
+        if getattr(args, derived) is not None and getattr(args, field) is not None:
+            raise ValueError(f"--{derived} and --{field.replace('_', '-')} "
+                             "are mutually exclusive")
 
-    pairs = {
-        "j": ("coupling_j",), "delta": ("delta_a", "delta_b"),
-        "u": ("u_a", "u_b"), "kappa": ("kappa_a", "kappa_b"),
-        "phi": ("phi_a",),
-    }
-    changes = {}
-    for flag, fields in pairs.items():
-        value = getattr(args, flag)
-        if value is not None:
-            changes.update({f: value for f in fields})
-    for field in ("delta_a", "delta_b", "u_a", "u_b", "eps_a", "eps_b",
-                  "phi_a", "phi_b"):
-        value = getattr(args, field)
-        if value is not None:
-            changes[field] = value
-    params = params.replace(**changes)
-    if args.eta is not None:
-        if args.eta <= 0:
-            raise ValueError("--eta must be positive")
-        eps_b = 0.0 if math.isinf(args.eta) else params.eps_a / args.eta
-        params = params.replace(eps_b=eps_b)
+    for name in ("delta", "u"):  # both modes first; the per-mode flags override
+        if getattr(args, name) is not None:
+            params = apply_axis(params, name, getattr(args, name))
+    changes = {"coupling_j": args.j, "kappa_a": args.kappa, "kappa_b": args.kappa}
+    changes |= {field: getattr(args, field) for field in (
+        "delta_a", "delta_b", "u_a", "u_b", "eps_a", "eps_b", "phi_a", "phi_b")}
+    params = params.replace(**{k: v for k, v in changes.items() if v is not None})
+    for name in ("eta", "phi"):  # relative to the final eps_a and phi_b
+        if getattr(args, name) is not None:
+            params = apply_axis(params, name, getattr(args, name))
     return params
 
 

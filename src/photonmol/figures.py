@@ -6,9 +6,10 @@ ranges that are not fixed by the recipe bindings are estimates and can be
 rescaled through the count override.
 
 The heatmaps and the fig4c/fig4d cuts are SweepConfigs run by run_sweep;
-fig5 builds its parameter arrays and goes through the same row builder,
-grid_rows. Both end in one evaluate_grid call. fig3 calls numeric_optimum
-once per drive ratio, on one thread.
+fig5 is a sweep over coupling_j in (10, 20, 50) and a log-spaced eta_inv,
+passed to the same row builder, sweep_rows, as (parameter, values) axes.
+Both end in one evaluate_grid call. fig3 calls numeric_optimum once per
+drive ratio, on one thread.
 """
 
 import math
@@ -26,10 +27,9 @@ from .optimal import (
 from .solvers import SOLVER_FULL_TRUNCATED, SOLVER_MASTER_EQUATION, check_threads
 from .sweep import (
     Axis,
-    ResultRow,
     SweepConfig,
-    grid_rows,
     run_sweep,
+    sweep_rows,
     write_csv,
     write_rows_csv,
     write_sidecar,
@@ -48,10 +48,9 @@ _FIG5_COUPLINGS = (10.0, 20.0, 50.0)
 # Cut positions for the line-plot panels.
 _FIG4C_CUTS = (0.024, 0.16)
 _FIG4D_CUTS = (0.058, 0.116)
-
-
-def _base_params(j: float = _J_DEFAULT) -> SystemParams:
-    return SystemParams(coupling_j=j, eps_a=_EPS_A, kappa_a=_KAPPA, kappa_b=_KAPPA)
+_BASE = SystemParams(coupling_j=_J_DEFAULT, eps_a=_EPS_A, kappa_a=_KAPPA, kappa_b=_KAPPA)
+_DUAL_RULES = ("delta := dual_drive_delta", "u := dual_drive_u")
+_SINGLE_RULES = ("delta := single_drive_delta", "u := single_drive_u")
 
 
 def _sweep_config(name: str, count: int) -> tuple[SweepConfig, dict | None]:
@@ -62,8 +61,6 @@ def _sweep_config(name: str, count: int) -> tuple[SweepConfig, dict | None]:
     eta, delta = Axis("eta", 1.05, 20.0, count), Axis("delta", 0.0, 5.0, count)
     u = Axis("u", 1e-3, 0.5, count, scale="log")
     phi, eta_inv = Axis("phi", 0.0, math.pi / 2, count), Axis("eta_inv", 0.01, 0.2, count)
-    dual_rules = ("delta := dual_drive_delta", "u := dual_drive_u")
-    single_rules = ("delta := single_drive_delta", "u := single_drive_u")
     axis1, axis2, constraints, overlay = {
         "fig1a": (eta, delta, ("u := dual_drive_u",),
                   {"kind": "curve", "code": "ref = 10.0 / xs", "label": "delta = j/eta"}),
@@ -76,34 +73,18 @@ def _sweep_config(name: str, count: int) -> tuple[SweepConfig, dict | None]:
         "fig2b": (eta, u, ("delta := single_drive_delta",),
                   {"kind": "hline", "code": f"ref = {single.u_opt!r}",
                    "label": "single-drive u_opt"}),
-        "fig4a": (phi, eta_inv, dual_rules,
+        "fig4a": (phi, eta_inv, _DUAL_RULES,
                   {"kind": "curve_x", "code": "ref = np.arctan(1.0 / (2.0 * 10.0 * ys))",
                    "label": "bunching phase curve"}),
-        "fig4b": (phi, eta_inv, single_rules,
+        "fig4b": (phi, eta_inv, _SINGLE_RULES,
                   {"kind": "point", "label": "one-photon interference zero",
                    "code": f"ref = ({math.pi / 3!r}, "
                            f"{1.0 / (math.sqrt(3.0) * _J_DEFAULT)!r})"}),
-        "fig4c": (Axis("eta_inv", *_FIG4C_CUTS, 2), phi, dual_rules, None),
-        "fig4d": (Axis("eta_inv", *_FIG4D_CUTS, 2), phi, single_rules, None),
+        "fig4c": (Axis("eta_inv", *_FIG4C_CUTS, 2), phi, _DUAL_RULES, None),
+        "fig4d": (Axis("eta_inv", *_FIG4D_CUTS, 2), phi, _SINGLE_RULES, None),
     }[name]
-    return SweepConfig(base=_base_params(), axis1=axis1, axis2=axis2,
+    return SweepConfig(base=_BASE, axis1=axis1, axis2=axis2,
                        solver=SOLVER_MASTER_EQUATION, constraints=constraints), overlay
-
-
-def _run_fig5(count: int, threads: int) -> list[ResultRow]:
-    """g2 and mean photon number against the drive ratio for several
-    couplings, at the single-drive optimum and a pi/3 relative phase."""
-    eta_inv = np.logspace(math.log10(0.005), math.log10(0.2), count)
-    optima = [single_drive_optimum(_KAPPA, j) for j in _FIG5_COUPLINGS]
-    j = np.array(_FIG5_COUPLINGS)[:, None]
-    delta = np.array([opt.delta_opt for opt in optima])[:, None]
-    u = np.array([opt.u_opt for opt in optima])[:, None]
-    points = {
-        "delta_a": delta, "delta_b": delta, "coupling_j": j, "u_a": u, "u_b": u,
-        "eps_a": _EPS_A, "eps_b": _EPS_A / (1.0 / eta_inv),  # as symmetric_params
-        "phi_a": math.pi / 3, "phi_b": 0.0, "kappa_a": _KAPPA, "kappa_b": _KAPPA,
-    }
-    return grid_rows(j, eta_inv, points, SOLVER_MASTER_EQUATION, threads=threads)
 
 
 def _run_fig3(column: str, count: int) -> list[tuple]:
@@ -261,7 +242,12 @@ def figure(
     meta: dict = {"figure": name}
 
     if name in ("fig5a", "fig5b"):
-        rows = _run_fig5(count or 101, threads)
+        # g2 and mean photon number against the drive ratio for several
+        # couplings, at the single-drive optimum and a pi/3 relative phase.
+        eta_inv = np.logspace(math.log10(0.005), math.log10(0.2), count or 101)
+        rows = sweep_rows(_BASE.replace(phi_a=math.pi / 3), ("coupling_j", _FIG5_COUPLINGS),
+                          ("eta_inv", eta_inv), _SINGLE_RULES, SOLVER_MASTER_EQUATION,
+                          threads=threads)
         write_rows_csv(rows, csv_path, "coupling_j", "eta_inv")
         value = "g2_a" if name == "fig5a" else "mean_n_a"
         script = _fill(_LINES_SCRIPT, NAME=name, GROUP="coupling_j",

@@ -111,6 +111,36 @@ def drive_ratios(params: SystemParams) -> DriveRatios:
     return DriveRatios(eta=eta, phi=wrap_phase(params.phi_a - params.phi_b))
 
 
+# Inputs that apply_axis derives SystemParams fields from.
+DERIVED_AXES = ("eta", "eta_inv", "phi", "u", "delta")
+
+
+def _eps_b_from_eta(eps_a: float, eta: float) -> float:
+    """Mode B's drive amplitude at drive ratio eta = eps_a/eps_b (inf: 0.0)."""
+    if eta <= 0:
+        raise ValueError("eta axis values must be positive")
+    return eps_a / eta
+
+
+def apply_axis(params: SystemParams, name: str, value: float) -> SystemParams:
+    """Set one input on a parameter set: a SystemParams field or one of
+    DERIVED_AXES: eta (eps_b = eps_a/eta), eta_inv (eps_b = eps_a*eta_inv),
+    phi (relative phase, phi_a = phi_b + phi), u or delta (both modes)."""
+    if name == "eta":
+        return params.replace(eps_b=_eps_b_from_eta(params.eps_a, value))
+    if name == "eta_inv":
+        if value < 0:
+            raise ValueError("eta_inv axis values must be non-negative")
+        return params.replace(eps_b=params.eps_a * value)
+    if name == "phi":
+        return params.replace(phi_a=params.phi_b + value)
+    if name == "u":
+        return params.replace(u_a=value, u_b=value)
+    if name == "delta":
+        return params.replace(delta_a=value, delta_b=value)
+    return params.replace(**{name: value})
+
+
 def symmetric_params(
     coupling_j: float,
     delta: float = 0.0,
@@ -124,14 +154,13 @@ def symmetric_params(
 ) -> SystemParams:
     """Build the symmetric configuration used throughout: equal detunings and
     dissipation rates, drive set by (eps_a, eta, phi) with phi on mode A.
+    Equal to the apply_axis chain, but one construction: the optimizer's
+    objective builds one per step.
     """
-    if eta <= 0:
-        raise ValueError("drive strength ratio eta must be positive")
-    eps_b = 0.0 if math.isinf(eta) else eps_a / eta
     return SystemParams(
         delta_a=delta, delta_b=delta, coupling_j=coupling_j,
         u_a=u if u_a is None else u_a, u_b=u if u_b is None else u_b,
-        eps_a=eps_a, eps_b=eps_b, phi_a=phi, phi_b=0.0,
+        eps_a=eps_a, eps_b=_eps_b_from_eta(eps_a, eta), phi_a=phi, phi_b=0.0,
         kappa_a=kappa, kappa_b=kappa,
     )
 

@@ -19,6 +19,7 @@ from scipy.optimize import brentq, minimize
 from .errors import SolverError
 from .model import symmetric_params
 from .solvers import (
+    DEFAULT_N_MAX,
     SOLVER_FULL_TRUNCATED,
     evaluate_grid,
     evaluate_point,
@@ -31,6 +32,10 @@ METHOD_DUAL_DRIVE_EXACT = "DualDriveExact"
 METHOD_NUMERIC = "Numeric"
 
 _SQRT3 = math.sqrt(3.0)
+
+# numeric_optimum's Nelder-Mead tolerance on (log delta, log u), and the
+# distance from the u cap (in log u) that counts as stopping on it.
+REFINE_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -59,11 +64,16 @@ class BunchingCondition:
     eta_inv_star: float
 
 
+def _check_coupling(j: float) -> None:
+    """ValueError unless j > 0: every condition here divides by j."""
+    if not j > 0:
+        raise ValueError("coupling strength j must be positive")
+
+
 def single_drive_optimum(kappa: float, j: float, branch: str = "+") -> OptimalPoint:
     """Strong-coupling antibunching optimum when only mode A is driven:
     delta_opt = +-kappa/(2 sqrt(3)), u_opt = +-(2/(3 sqrt(3))) kappa^3/j^2."""
-    if j <= 0:
-        raise ValueError("coupling strength j must be positive")
+    _check_coupling(j)
     if branch not in ("+", "-"):
         raise ValueError("branch must be '+' or '-'")
     if j < 5 * kappa:
@@ -83,6 +93,7 @@ def single_drive_optimum(kappa: float, j: float, branch: str = "+") -> OptimalPo
 def dual_drive_optimum_asymptotic(kappa: float, j: float, eta: float) -> OptimalPoint:
     """Strong-coupling antibunching optimum with both modes driven in phase:
     delta_opt = j/eta, u_opt = (kappa^2/2j) * eta/(eta^2 - 1)."""
+    _check_coupling(j)
     if eta <= 1:
         raise ValueError(
             "dual-drive optimum requires eta > 1 (the Kerr strength diverges "
@@ -207,6 +218,7 @@ def dual_drive_optimum_exact_phi0(
     nearest the asymptotic seed (j/eta, ...). Both determinant conditions
     are verified to a relative residual of 1e-10.
     """
+    _check_coupling(j)
     if eta <= 1:
         raise ValueError("exact dual-drive optimum requires eta > 1")
     if samples < 2:
@@ -265,25 +277,25 @@ def numeric_optimum(
     solver: str = SOLVER_FULL_TRUNCATED,
     eps_a: float | None = None,
     grid_points: int = 64,
-    refine_tol: float = 1e-4,
-    n_max: int = 3,
+    n_max: int = DEFAULT_N_MAX,
 ) -> OptimalPoint:
     """Numerically minimize the mode-A correlation over (delta, u).
 
-    Coarse 64x64 grid (delta linear in [0.05 kappa, 1.2 j], u log-spaced in
-    [1e-4 kappa, kappa]), evaluated in one evaluate_grid call, followed by
-    Nelder-Mead refinement in log coordinates to a relative parameter
-    tolerance of refine_tol. Grid ties closer than 1e-12 prefer the weaker
-    nonlinearity.
+    Coarse grid of grid_points x grid_points (at least 2; delta linear in
+    [0.05 kappa, 1.2 j], u log-spaced in [1e-4 kappa, kappa]), evaluated in
+    one evaluate_grid call, followed by Nelder-Mead refinement in log
+    coordinates to a fixed relative parameter tolerance of REFINE_TOL
+    (1e-4). Grid ties closer than 1e-12 prefer the weaker nonlinearity.
 
     u is capped at the grid's top row (kappa), delta is free. A run ending
-    within refine_tol of the cap (in log u) at 1 < eta < inf is refined
+    within REFINE_TOL of the cap (in log u) at 1 < eta < inf is refined
     again from the analytic optimum (exact at phi = 0 if it has u > 0, else
     asymptotic; u clipped to the cap); the lower g2 wins, the first on a tie.
     """
     solver = normalize_solver(solver)
-    if grid_points < 1:
-        raise ValueError(f"grid_points must be at least 1, got {grid_points}")
+    _check_coupling(j)
+    if grid_points < 2:
+        raise ValueError(f"grid_points must be at least 2, got {grid_points}")
     if eps_a is None:
         eps_a = 0.01 * kappa
 
@@ -318,13 +330,13 @@ def numeric_optimum(
         result = minimize(lambda x: objective(math.exp(x[0]), math.exp(x[1])),
                           np.log(start), method="Nelder-Mead",
                           bounds=[(None, None), (None, log_u_cap)],
-                          options={"xatol": refine_tol, "fatol": math.inf, "maxiter": 800})
+                          options={"xatol": REFINE_TOL, "fatol": math.inf, "maxiter": 800})
         delta_opt, u_opt = (math.exp(v) for v in result.x)
         return OptimalPoint(delta_opt=delta_opt, u_opt=u_opt,
                             g2_min=objective(delta_opt, u_opt), method=METHOD_NUMERIC)
 
     opt = refine((deltas[best[1]], u_values[best[0]]))
-    if log_u_cap - math.log(opt.u_opt) > refine_tol or not 1 < eta < math.inf:
+    if log_u_cap - math.log(opt.u_opt) > REFINE_TOL or not 1 < eta < math.inf:
         return opt
     try:
         seed = dual_drive_optimum_exact_phi0(kappa, j, eta) if phi == 0 else None
@@ -339,8 +351,7 @@ def numeric_optimum(
 def c10_zero_condition(kappa: float, j: float, delta: float) -> BunchingCondition:
     """Drive ratio and relative phase nulling the one-photon amplitude of
     mode A at the given detuning: eta e^{i phi} (delta - i kappa/2) = j."""
-    if j <= 0:
-        raise ValueError("coupling strength j must be positive")
+    _check_coupling(j)
     pole = complex(delta, -0.5 * kappa)
     return BunchingCondition(
         phi_star=-np.angle(pole),
@@ -351,6 +362,7 @@ def c10_zero_condition(kappa: float, j: float, delta: float) -> BunchingConditio
 def bunching_phase_curve(kappa: float, j: float, eta: float) -> float:
     """Relative phase along which strong bunching appears when (delta, u)
     follow the dual-drive asymptotic optimum: phi = arctan(eta kappa / 2j)."""
+    _check_coupling(j)
     argument = eta * kappa / (2.0 * j)
     if argument > 0.5:
         warnings.warn(

@@ -67,7 +67,7 @@ def evaluate_point(
     """(g2_a, mean_n_a) at one parameter point under the chosen solver.
 
     g2_a is None where the correlation is undefined (zero mean photon
-    number).
+    number). A weak-drive g2 or mean n that overflows raises SolverError.
     """
     solver = normalize_solver(solver)
     if solver == SOLVER_MASTER_EQUATION:
@@ -77,7 +77,10 @@ def evaluate_point(
         return obs.g2_a, obs.mean_n_a
     amps = hierarchy_steady(params) if solver == SOLVER_HIERARCHY \
         else full_truncated_steady(params)
-    return g2_approx(amps), mean_photon_approx(amps)
+    g2, mean_n = g2_approx(amps), mean_photon_approx(amps)
+    if not math.isfinite(mean_n) or not (g2 is None or math.isfinite(g2)):
+        raise SolverError("weak-drive g2 overflowed: |c10|^4 or |c20|^2 is not finite")
+    return g2, mean_n
 
 
 def check_threads(threads) -> None:

@@ -6,9 +6,10 @@ rules that recompute dependent parameters at every grid point, e.g.
 "u := dual_drive_u" pins the Kerr strength to the dual-drive optimum for
 the point's current drive ratio.
 
-The rules run per point; the points are then one evaluate_grid call.
-write_csv is the package's one CSV writer; write_rows_csv feeds it sweep
-rows.
+sweep_rows is the one row builder: model.apply_axis sets both axis values
+and each rule's target, the rules run per point, and the points are one
+evaluate_grid call. run_sweep and the fig5 recipe go through it. write_csv
+is the package's one CSV writer; write_rows_csv feeds it sweep rows.
 """
 
 import csv
@@ -22,38 +23,28 @@ import numpy as np
 from ._version import __version__
 from .errors import SolverError
 from .fock import HilbertSpec
-from .model import PARAM_FIELDS, SystemParams, drive_ratios
-from .optimal import dual_drive_optimum_asymptotic, single_drive_optimum
+from .model import DERIVED_AXES, PARAM_FIELDS, SystemParams, apply_axis, drive_ratios
+from .optimal import OptimalPoint, dual_drive_optimum_asymptotic, single_drive_optimum
 from .solvers import DEFAULT_N_MAX, evaluate_grid, evaluate_point, normalize_solver
-
-DERIVED_AXES = ("eta", "eta_inv", "phi", "u", "delta")
 
 CONSTRAINT_TARGETS = ("u", "u_a", "u_b", "delta", "delta_a", "delta_b")
 
 
-def _rule_single_drive_delta(params: SystemParams) -> float:
-    return single_drive_optimum(params.kappa_a, params.coupling_j).delta_opt
+def _single_drive(params: SystemParams) -> OptimalPoint:
+    return single_drive_optimum(params.kappa_a, params.coupling_j)
 
 
-def _rule_single_drive_u(params: SystemParams) -> float:
-    return single_drive_optimum(params.kappa_a, params.coupling_j).u_opt
+def _dual_drive(params: SystemParams) -> OptimalPoint:
+    return dual_drive_optimum_asymptotic(params.kappa_a, params.coupling_j,
+                                         drive_ratios(params).eta)
 
 
-def _rule_dual_drive_delta(params: SystemParams) -> float:
-    eta = drive_ratios(params).eta
-    return dual_drive_optimum_asymptotic(params.kappa_a, params.coupling_j, eta).delta_opt
-
-
-def _rule_dual_drive_u(params: SystemParams) -> float:
-    eta = drive_ratios(params).eta
-    return dual_drive_optimum_asymptotic(params.kappa_a, params.coupling_j, eta).u_opt
-
-
+# Rule name -> (the optimum at a point, the OptimalPoint field it pins).
 CONSTRAINT_RULES = {
-    "single_drive_delta": _rule_single_drive_delta,
-    "single_drive_u": _rule_single_drive_u,
-    "dual_drive_delta": _rule_dual_drive_delta,
-    "dual_drive_u": _rule_dual_drive_u,
+    "single_drive_delta": (_single_drive, "delta_opt"),
+    "single_drive_u": (_single_drive, "u_opt"),
+    "dual_drive_delta": (_dual_drive, "delta_opt"),
+    "dual_drive_u": (_dual_drive, "u_opt"),
 }
 
 
@@ -79,7 +70,7 @@ class Axis:
             raise ValueError(f"axis scale must be 'linear' or 'log', got {self.scale!r}")
         if self.scale == "log" and min(self.min, self.max) <= 0:
             raise ValueError("log-scaled axis requires min > 0 and max > 0")
-        valid = DERIVED_AXES + tuple(SystemParams.__dataclass_fields__)
+        valid = DERIVED_AXES + PARAM_FIELDS
         if self.parameter not in valid:
             raise ValueError(f"unknown axis parameter {self.parameter!r}")
 
@@ -195,35 +186,12 @@ def parse_constraint(rule: str) -> tuple[str, str]:
     return target, name
 
 
-def apply_axis(params: SystemParams, name: str, value: float) -> SystemParams:
-    """Set one swept quantity on a parameter set."""
-    if name == "eta":
-        if value <= 0:
-            raise ValueError("eta axis values must be positive")
-        return params.replace(eps_b=params.eps_a / value)
-    if name == "eta_inv":
-        if value < 0:
-            raise ValueError("eta_inv axis values must be non-negative")
-        return params.replace(eps_b=params.eps_a * value)
-    if name == "phi":
-        return params.replace(phi_a=params.phi_b + value)
-    if name == "u":
-        return params.replace(u_a=value, u_b=value)
-    if name == "delta":
-        return params.replace(delta_a=value, delta_b=value)
-    return params.replace(**{name: value})
-
-
 def apply_constraints(params: SystemParams, constraints) -> SystemParams:
+    """Apply the rules in order, each to the parameters the previous left."""
     for rule in constraints:
         target, name = parse_constraint(rule)
-        value = CONSTRAINT_RULES[name](params)
-        if target == "u":
-            params = params.replace(u_a=value, u_b=value)
-        elif target == "delta":
-            params = params.replace(delta_a=value, delta_b=value)
-        else:
-            params = params.replace(**{target: value})
+        optimum, pinned = CONSTRAINT_RULES[name]
+        params = apply_axis(params, target, getattr(optimum(params), pinned))
     return params
 
 
@@ -249,46 +217,47 @@ def _failed_row(v1: float, v2: float, solver: str, message: str) -> ResultRow:
                      mean_n_a=None, solver=solver, error=message)
 
 
-def grid_rows(axis1, axis2, points: dict, solver: str, threads: int = 1) -> list[ResultRow]:
-    """Rows of one evaluate_grid call on points (holding delta_a and u_a),
-    in C order; axis1 and axis2 broadcast with the fields."""
-    g2, mean_n, error = evaluate_grid(points, solver, threads=threads)
-    columns = np.broadcast_arrays(axis1, axis2, points["delta_a"], points["u_a"],
-                                  g2, mean_n, error)
-    return [
+def sweep_rows(base: SystemParams, axis1, axis2, constraints, solver: str,
+               threads: int = 1) -> list[ResultRow]:
+    """Rows of a 2-D grid, axis1 outer, axis2 inner.
+
+    Each axis is a (parameter, values) pair. apply_axis sets the two values
+    on base, the constraint rules then set their targets, and the points
+    are one evaluate_grid call, so the rows do not depend on threads. Where
+    the axes or rules raise ValueError or the solver fails, the row keeps
+    the message in error and the sweep continues.
+    """
+    (name1, values1), (name2, values2) = axis1, axis2
+    values2 = np.asarray(values2, dtype=float).tolist()
+    rows, solved = [], []
+    for v1 in np.asarray(values1, dtype=float).tolist():
+        for v2 in values2:
+            try:
+                params = apply_axis(apply_axis(base, name1, v1), name2, v2)
+                params = apply_constraints(params, constraints)
+            except ValueError as err:
+                rows.append(_failed_row(v1, v2, solver, str(err)))
+            else:
+                rows.append(None)  # solved below
+                solved.append((v1, v2, params))
+    g2, mean_n, error = evaluate_grid(
+        {name: np.array([getattr(params, name) for _, _, params in solved], dtype=float)
+         for name in PARAM_FIELDS}, solver, threads=threads)
+    results = iter(
         _failed_row(v1, v2, solver, err) if err else
-        ResultRow(axis1=v1, axis2=v2, delta=delta, u=u,
+        ResultRow(axis1=v1, axis2=v2, delta=params.delta_a, u=params.u_a,
                   g2_a=None if math.isnan(g2_i) else g2_i, mean_n_a=mean_n_i,
                   solver=solver)
-        for v1, v2, delta, u, g2_i, mean_n_i, err in zip(
-            *(column.ravel().tolist() for column in columns))
-    ]
+        for (v1, v2, params), g2_i, mean_n_i, err in zip(
+            solved, g2.tolist(), mean_n.tolist(), error.tolist()))
+    return [row or next(results) for row in rows]
 
 
 def run_sweep(config: SweepConfig, threads: int = 1) -> list[ResultRow]:
-    """Evaluate the full grid, axis1 outer, axis2 inner.
-
-    The axes and constraint rules set each point's parameters, and the
-    points are one evaluate_grid call, so the rows do not depend on
-    threads. Where the rules raise ValueError or the solver fails, the row
-    keeps the message in error and the sweep continues.
-    """
-    rows, points = [], []
-    for v1 in config.axis1.values():
-        for v2 in config.axis2.values():
-            try:
-                params = apply_axis(config.base, config.axis1.parameter, v1)
-                params = apply_axis(params, config.axis2.parameter, v2)
-                params = apply_constraints(params, config.constraints)
-            except ValueError as err:
-                rows.append(_failed_row(v1, v2, config.solver, str(err)))
-                continue
-            points.append([v1, v2] + [getattr(params, name) for name in PARAM_FIELDS])
-            rows.append(None)  # solved below
-    v1, v2, *fields = np.array(points, dtype=float).reshape(-1, 2 + len(PARAM_FIELDS)).T
-    solved = iter(grid_rows(v1, v2, dict(zip(PARAM_FIELDS, fields)), config.solver,
-                            threads=threads))
-    return [row or next(solved) for row in rows]
+    """Evaluate a config's grid through sweep_rows."""
+    return sweep_rows(config.base, (config.axis1.parameter, config.axis1.values()),
+                      (config.axis2.parameter, config.axis2.values()),
+                      config.constraints, config.solver, threads=threads)
 
 
 def _format_value(value) -> str:

@@ -370,13 +370,16 @@ def test_strong_kerr_systems_are_solved(solver, u_a):
     assert math.isfinite(g2) and math.isfinite(mean_n)
 
 
-def test_overflow_raises_for_the_point_and_spares_its_grid_neighbours():
-    params = SystemParams(coupling_j=3.0, delta_a=0.5, delta_b=0.5, eps_a=1e160)
+# At 1e160 the two-photon solve overflows; at 1e140 it does not, but
+# |c10|^4 and |c20|^2 do, and g2 would be inf/inf.
+@pytest.mark.parametrize("eps_a", [1e160, 1e140])
+def test_overflow_raises_for_the_point_and_spares_its_grid_neighbours(eps_a):
+    params = SystemParams(coupling_j=3.0, delta_a=0.5, delta_b=0.5, eps_a=eps_a)
     with pytest.raises(SolverError, match="overflowed") as raised:
         evaluate_point(params, SOLVER_HIERARCHY)
     g2, mean_n, error = evaluate_grid(
         {"coupling_j": 3.0, "delta_a": 0.5, "delta_b": 0.5,
-         "eps_a": np.array([0.01, 1e160, 0.02])}, SOLVER_HIERARCHY)
+         "eps_a": np.array([0.01, eps_a, 0.02])}, SOLVER_HIERARCHY)
     assert error.tolist() == ["", str(raised.value), ""]
     assert np.isnan(g2[1]) and np.isnan(mean_n[1])
     for i, eps_a in ((0, 0.01), (2, 0.02)):

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -57,6 +58,20 @@ def test_point_eta_conflicts_with_eps_b(capsys):
     assert "mutually exclusive" in err
 
 
+def test_point_phi_is_the_relative_phase(capsys):
+    code, out, _ = run_cli(capsys, "point", "--j", "10", "--eta", "3",
+                           "--phi", "1", "--phi-b", "0.5")
+    assert code == 0
+    params = json.loads(out)["params"]
+    assert (params["phi_a"], params["phi_b"]) == (1.5, 0.5)
+
+
+def test_point_phi_conflicts_with_phi_a(capsys):
+    code, _, err = run_cli(capsys, "point", "--phi", "1", "--phi-a", "0.5")
+    assert code == 1
+    assert "mutually exclusive" in err
+
+
 def test_point_solver_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "point", "--j", "10", "--delta-a", "1",
                            "--delta-b", "2", "--solver", "Hierarchy")
@@ -78,6 +93,8 @@ def test_point_overflow_is_a_solver_error(capsys, solver):
     ("point", "--j", "10", "--eps-b", "inf"),
     ("point", "--j", "10", "--n-max", "-1"),
     ("optimize", "--j", "10", "--eta", "3", "--grid-points", "0"),
+    ("optimize", "--j", "10", "--eta", "3", "--grid-points", "1"),
+    ("optimize", "--j", "0", "--eta", "3"),
 ])
 def test_bad_numbers_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -128,6 +145,25 @@ def test_sweep_end_to_end(tmp_path, capsys):
     assert "4 rows" in out
     assert out_path.exists()
     assert (tmp_path / "result.csv.meta.json").exists()
+
+
+def test_sweep_without_coupling_writes_error_rows(tmp_path, capsys):
+    config_path = tmp_path / "sweep.json"
+    config_path.write_text(json.dumps({
+        "base": {"eps_a": 0.01},
+        "axis1": {"parameter": "eta", "min": 2.0, "max": 3.0, "count": 2},
+        "axis2": {"parameter": "delta", "min": 0.0, "max": 1.0, "count": 2},
+        "solver": "Hierarchy",
+        "constraints": ["u := dual_drive_u"],
+    }))
+    out_path = tmp_path / "result.csv"
+    code, out, err = run_cli(capsys, "sweep", "--config", str(config_path),
+                             "--out", str(out_path))
+    assert (code, err) == (0, "")
+    assert "(4 points failed)" in out
+    with open(out_path, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [r["error"] for r in rows] == ["coupling strength j must be positive"] * 4
 
 
 def test_sweep_with_bad_config(tmp_path, capsys):

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from photonmol import FIGURE_NAMES, figure
+from photonmol import FIGURE_NAMES, SystemParams, evaluate_point, figure, single_drive_optimum
+from photonmol.model import apply_axis
 
 
 def read_csv(path):
@@ -92,6 +93,21 @@ def test_fig5a_layout(tmp_path):
     assert all(r["g2_a"] for r in rows)
     meta = json.loads(open(paths["meta"]).read())
     assert meta["bindings"]["phi"] == pytest.approx(math.pi / 3)
+
+
+def test_fig5a_rows_are_points_of_a_sweep(tmp_path):
+    rows = read_csv(figure("fig5a", tmp_path, count=21)["csv"])
+    base = SystemParams(eps_a=0.01, phi_a=math.pi / 3)
+    for row in rows:
+        params = apply_axis(base, "coupling_j", float(row["coupling_j"]))
+        params = apply_axis(params, "eta_inv", float(row["eta_inv"]))
+        single = single_drive_optimum(1.0, params.coupling_j)
+        params = apply_axis(apply_axis(params, "delta", single.delta_opt),
+                            "u", single.u_opt)
+        g2, mean_n = evaluate_point(params, "MasterEquation")
+        assert (float(row["g2_a"]), float(row["mean_n_a"])) == (g2, mean_n)
+        assert (float(row["delta_used"]), float(row["u_used"])) == (
+            params.delta_a, params.u_a)
 
 
 def test_figure_outputs_deterministic(tmp_path):

@@ -16,6 +16,7 @@ from photonmol import (
     vec,
     wrap_phase,
 )
+from photonmol.model import apply_axis
 
 SPEC = HilbertSpec(3, 3)
 
@@ -74,6 +75,16 @@ def test_symmetric_params():
     assert params.u_a == params.u_b == 0.05
     assert symmetric_params(10.0, eta=math.inf).eps_b == 0.0
     with pytest.raises(ValueError):
+        symmetric_params(10.0, eta=0.0)
+
+
+@pytest.mark.parametrize("eta", [0.5, 3.0, math.inf])
+def test_symmetric_params_builds_what_apply_axis_builds(eta):
+    built = SystemParams(coupling_j=10.0, eps_a=0.01)
+    for name, value in (("delta", 1.0), ("u", 0.05), ("eta", eta), ("phi", 0.7)):
+        built = apply_axis(built, name, value)
+    assert symmetric_params(10.0, delta=1.0, u=0.05, eta=eta, phi=0.7) == built
+    with pytest.raises(ValueError, match="eta axis values must be positive"):
         symmetric_params(10.0, eta=0.0)
 
 

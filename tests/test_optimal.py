@@ -218,6 +218,20 @@ class TestBunchingConditions:
         assert values[1] >= 10.0 * values[0]
 
 
+@pytest.mark.parametrize("call", [
+    lambda: single_drive_optimum(1.0, 0.0),
+    lambda: c10_zero_condition(1.0, 0.0, 0.5),
+    lambda: dual_drive_optimum_asymptotic(1.0, 0.0, 3.0),
+    lambda: dual_drive_optimum_exact_phi0(1.0, -1.0, 3.0),
+    lambda: bunching_phase_curve(1.0, 0.0, 3.0),
+    lambda: numeric_optimum(1.0, 0.0, 3.0, 0.0),
+], ids=["single_drive", "c10_zero", "dual_asymptotic", "dual_exact", "bunching_curve",
+        "numeric"])
+def test_conditions_reject_non_positive_coupling(call):
+    with pytest.raises(ValueError, match="coupling strength j must be positive"):
+        call()
+
+
 def test_numeric_optimum_error_on_empty_grid():
     # A two-point grid confined to an undefined region cannot happen with the
     # standard domain, so force it with undriven parameters.
@@ -257,7 +271,7 @@ EDGE_REQUESTS = [
 def analytic_bound(j, eta, phi):
     """FullTruncated g2 at the asymptotic optimum and, at phi = 0, at the
     exact one, whichever is lower, plus the benchmark's 1e-7 slack for
-    refine_tol."""
+    REFINE_TOL."""
     refs = [dual_drive_optimum_asymptotic(1.0, j, eta)]
     if phi == 0.0:
         refs.append(dual_drive_optimum_exact_phi0(1.0, j, eta))
