@@ -200,11 +200,12 @@ def g2_approx(amps: AmplitudeSet) -> float | None:
     the two-photon manifold and c00 = 1. None when the one-photon amplitude
     vanishes (correlation undefined).
     """
-    mean = abs(amps.c10) ** 2
-    denom = mean * mean
-    if denom == 0.0:
-        return None
-    return 2.0 * abs(amps.c20) ** 2 / denom
+    with np.errstate(all="ignore"):  # overflow yields inf or NaN, for the caller to flag
+        mean = abs(amps.c10) ** 2
+        denom = mean * mean
+        if denom == 0.0:
+            return None
+        return 2.0 * abs(amps.c20) ** 2 / denom
 
 
 def mean_photon_approx(amps: AmplitudeSet) -> float:
@@ -236,9 +237,9 @@ def _g2_and_mean(c10: np.ndarray, c20: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """g2_approx and mean_photon_approx over amplitude arrays, with NaN for
     an undefined g2. hypot and float_power call the same libm hypot and pow
     as abs(c) ** 2 on a scalar, so each value equals the scalar one."""
-    mean = np.float_power(np.hypot(c10.real, c10.imag), 2.0)
-    denom = mean * mean
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):  # overflow yields inf or NaN, for the caller to flag
+        mean = np.float_power(np.hypot(c10.real, c10.imag), 2.0)
+        denom = mean * mean
         g2 = 2.0 * np.float_power(np.hypot(c20.real, c20.imag), 2.0) / denom
     g2[denom == 0.0] = np.nan
     return g2, mean

@@ -13,7 +13,7 @@ import scipy.linalg
 
 from .errors import SolverError
 from .fock import HilbertSpec, mode_annihilators
-from .model import unvec, vec
+from .model import hermitian_maps, unvec, vec
 
 # Mean photon numbers below this are treated as exactly zero when forming g2.
 _G2_FLOOR = 1e-300
@@ -109,43 +109,77 @@ class Observables:
 
 
 def steady_state(liouv: np.ndarray) -> np.ndarray:
-    """Unique steady density matrix of the generator.
+    """Unique steady density matrix of a complex generator.
 
-    One row of L vec(rho) = 0 is replaced by the trace constraint and the
-    square system solved directly; the result is Hermitized and
-    trace-normalized. The solve runs on single-threaded BLAS and restores
-    the caller's BLAS thread counts on return.
+    The generator, which must preserve Hermiticity, is mapped onto the real
+    coordinates of hermitian_maps() and solved by hermitian_steady_state().
     """
-    size = liouv.shape[0]
-    dim = int(round(math.sqrt(size)))
-    system = liouv.copy()
+    to_real, to_vec = hermitian_maps(int(round(math.sqrt(liouv.shape[0]))))
+    real = np.asfortranarray(((to_real @ liouv) @ to_vec).real)
+    return hermitian_steady_state(real, float(np.max(np.abs(liouv), initial=0.0)))
+
+
+def _trace_system(liouv_h: np.ndarray, dim: int) -> np.ndarray:
+    """The generator in Hermitian coordinates with its first row, the
+    equation of rho_00, replaced by the trace constraint on the diagonal
+    coordinates; a fresh array in the column-major order LAPACK factorises."""
+    system = np.array(liouv_h, order="F")
     system[0, :] = 0.0
-    system[0, :: dim + 1] = 1.0  # trace row
-    rhs = np.zeros(size, dtype=complex)
+    system[0, :dim] = 1.0
+    return system
+
+
+def hermitian_steady_state(liouv_h: np.ndarray, scale: float) -> np.ndarray:
+    """Unique steady density matrix of a generator given in the real
+    coordinates of hermitian_maps(), as a complex dim x dim array.
+
+    A density matrix is Hermitian and the generator preserves Hermiticity,
+    so the steady state solves a real system of dim**2 unknowns. Its first
+    equation is replaced by the trace constraint, the system is factorised
+    once and the solution refined twice with that factorisation, then
+    trace-normalized. The residual max |(L vec rho)_ij| must stay within
+    1e-10 * max(scale, 1), where scale is max |L| over the complex
+    generator's entries. The solve runs on single-threaded BLAS and
+    restores the caller's BLAS thread counts on return.
+    """
+    size = liouv_h.shape[0]
+    dim = int(round(math.sqrt(size)))
+    pairs = (size - dim) // 2  # upper-triangle entries
+    rhs = np.zeros(size)
     rhs[0] = 1.0
-    with _single_threaded_blas:
+
+    def constrained(x):  # the trace-constrained system times x
+        product = liouv_h @ x
+        product[0] = x[:dim].sum()
+        return product
+
+    with _single_threaded_blas, np.errstate(all="ignore"):
         try:
-            lu = scipy.linalg.lu_factor(system)
-            solution = scipy.linalg.lu_solve(lu, rhs)
-            for _ in range(2):  # iterative refinement tightens tiny populations
-                solution += scipy.linalg.lu_solve(lu, rhs - system @ solution)
+            lu = scipy.linalg.lu_factor(_trace_system(liouv_h, dim), overwrite_a=True)
         except (scipy.linalg.LinAlgError, ValueError) as err:
             raise SolverError(f"steady-state system is singular: {err}") from err
-        rho = unvec(solution)
-        rho = 0.5 * (rho + rho.conj().T)
-        rho /= np.trace(rho).real
+        solution = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
+        for _ in range(2):  # iterative refinement tightens tiny populations
+            solution += scipy.linalg.lu_solve(lu, rhs - constrained(solution),
+                                              check_finite=False)
+        solution /= solution[:dim].sum()
 
-        residual = np.max(np.abs(liouv @ vec(rho)))
-        tol = 1e-10 * max(np.max(np.abs(liouv)), 1.0)
+        # |(L vec rho)_ij| from the real coordinates of L vec rho, which is Hermitian.
+        product = liouv_h @ solution
+        residual = np.concatenate([
+            np.abs(product[:dim]),
+            np.hypot(product[dim:dim + pairs], product[dim + pairs:]),
+        ]).max()
+        tol = 1e-10 * max(scale, 1.0)
         if not math.isfinite(residual):  # NaN fails every comparison
             raise SolverError(f"steady-state solve overflowed: residual {residual}")
         if residual > tol:
-            cond = np.linalg.cond(system)
+            cond = np.linalg.cond(_trace_system(liouv_h, dim))
             raise SolverError(
                 f"steady-state solve ill-conditioned: residual {residual:.3e} "
                 f"exceeds {tol:.3e} (condition number ~{cond:.3e})"
             )
-    return rho
+    return unvec(hermitian_maps(dim)[1] @ solution)
 
 
 def evolve(

@@ -277,3 +277,102 @@ def liouvillian(params: SystemParams, spec: HilbertSpec) -> np.ndarray:
     liouv = np.zeros(size * size, dtype=complex)
     liouv[positions] = table @ _liouvillian_coefficients(params)
     return liouv.reshape(size, size)
+
+
+@functools.lru_cache(maxsize=16)
+def hermitian_maps(dim: int) -> tuple[scipy.sparse.csr_array, scipy.sparse.csr_array]:
+    """Maps between vec(rho) of a Hermitian dim x dim matrix and its dim**2
+    real coordinates x: the diagonal entries, then the real parts and then
+    the imaginary parts of the upper triangle rho_ij (i < j), in
+    np.triu_indices order.
+
+    Returns (to_real, to_vec) with x = Re(to_real @ vec(rho)) and vec(rho) =
+    to_vec @ x. A generator L that preserves Hermiticity acts on the
+    coordinates as the real matrix Re(to_real @ L @ to_vec). Cached and
+    shared between callers, who must not modify them.
+    """
+    size, pairs = dim * dim, dim * (dim - 1) // 2
+    diag = np.arange(dim) * (dim + 1)
+    rows, cols = np.triu_indices(dim, 1)
+    upper, lower = rows + cols * dim, cols + rows * dim  # vec indices of rho_ij, rho_ji
+    coords = np.arange(size)
+    re, im = coords[dim:dim + pairs], coords[dim + pairs:]
+    to_real = scipy.sparse.csr_array(
+        (np.concatenate([np.ones(dim + pairs), np.full(pairs, -1j)]),
+         (coords, np.concatenate([diag, upper, upper]))),
+        shape=(size, size))
+    to_vec = scipy.sparse.csr_array(  # rho_ij = x_re + i x_im, rho_ji its conjugate
+        (np.concatenate([np.ones(dim + 2 * pairs), np.full(pairs, 1j), np.full(pairs, -1j)]),
+         (np.concatenate([diag, upper, lower, upper, lower]),
+          np.concatenate([coords[:dim], re, re, im, im]))),
+        shape=(size, size))
+    return to_real, to_vec
+
+
+# Complex coefficients from real ones: _liouvillian_coefficients() =
+# _COMPLEX_FROM_REAL @ _hermitian_coefficients(); each drive and its
+# conjugate come from the drive's real and imaginary parts.
+_COMPLEX_FROM_REAL = np.eye(11, dtype=complex)
+_COMPLEX_FROM_REAL[5:9, 5:9] = [[1, 1j, 0, 0], [1, -1j, 0, 0],
+                                [0, 0, 1, 1j], [0, 0, 1, -1j]]
+
+
+@functools.lru_cache(maxsize=16)
+def _hermitian_table(spec: HilbertSpec) -> tuple[np.ndarray, scipy.sparse.csr_array]:
+    """_liouvillian_table() in the real coordinates of hermitian_maps().
+
+    Each generator, taken with a real coefficient from
+    _hermitian_coefficients(), preserves Hermiticity, so it acts on the
+    coordinates as a real matrix. Returns the column-major flat indices of
+    the real generator's structurally nonzero entries and a real sparse
+    (positions x coefficients) table, so that R.T.flat[positions] = table @
+    coefficients. Column-major, because LAPACK factorises that layout
+    without a transposing copy. Derived from the complex table by the
+    coordinate maps alone; cached and shared between callers, who must not
+    modify it.
+    """
+    positions, table = _liouvillian_table(spec)
+    to_real, to_vec = hermitian_maps(spec.dim)
+    size = spec.dim**2
+    rows, cols = np.divmod(positions, size)
+    real_columns = (table @ _COMPLEX_FROM_REAL).T
+    flat, column, values = [], [], []
+    for k, generator in enumerate(real_columns):
+        real = (to_real @ scipy.sparse.csr_array(
+            (generator, (rows, cols)), shape=(size, size)) @ to_vec).real.tocoo()
+        real.eliminate_zeros()
+        flat.append(real.col * size + real.row)
+        column.append(np.full(real.nnz, k))
+        values.append(real.data)
+    real_positions, slot = np.unique(np.concatenate(flat), return_inverse=True)
+    real_table = scipy.sparse.csr_array(
+        (np.concatenate(values), (slot, np.concatenate(column))),
+        shape=(real_positions.size, len(real_columns)),
+    )
+    real_positions.setflags(write=False)
+    return real_positions, real_table
+
+
+def _hermitian_coefficients(coefficients: np.ndarray) -> np.ndarray:
+    """Real coefficients of _hermitian_table() from the complex ones of
+    _liouvillian_coefficients(): each drive ε e^{iφ} and its conjugate are
+    replaced by the drive's real and imaginary parts."""
+    c = coefficients
+    return np.array([*c[:5].real, c[5].real, c[5].imag, c[7].real, c[7].imag,
+                     *c[9:].real])
+
+
+def hermitian_liouvillian(params: SystemParams, spec: HilbertSpec) -> tuple[np.ndarray, float]:
+    """The generator in the real coordinates of hermitian_maps(), as a fresh
+    real (d^2 x d^2) column-major array assembled from the cached real
+    table, and max |L| over the entries of the complex generator, which
+    scales the steady-state residual tolerance. No dense complex generator
+    is built."""
+    positions, table = _hermitian_table(spec)
+    coefficients = _liouvillian_coefficients(params)
+    size = spec.dim**2
+    liouv = np.zeros(size * size)
+    liouv[positions] = table @ _hermitian_coefficients(coefficients)
+    entries = _liouvillian_table(spec)[1] @ coefficients
+    return (liouv.reshape((size, size), order="F"),
+            float(np.max(np.abs(entries), initial=0.0)))

@@ -31,8 +31,10 @@ from .amplitude import (
 )
 from .errors import SolverError
 from .fock import HilbertSpec
-from .lindblad import observables, steady_state
-from .model import PARAM_FIELDS, SystemParams, liouvillian
+# liouvillian and steady_state are not called here. They stay importable from
+# this module because perfbench's tracer looks them up here.
+from .lindblad import hermitian_steady_state, observables, steady_state  # noqa: F401
+from .model import PARAM_FIELDS, SystemParams, hermitian_liouvillian, liouvillian  # noqa: F401
 
 SOLVER_MASTER_EQUATION = "MasterEquation"
 SOLVER_HIERARCHY = "Hierarchy"
@@ -72,7 +74,7 @@ def evaluate_point(
     solver = normalize_solver(solver)
     if solver == SOLVER_MASTER_EQUATION:
         spec = HilbertSpec(n_max, n_max)
-        rho = steady_state(liouvillian(params, spec))
+        rho = hermitian_steady_state(*hermitian_liouvillian(params, spec))
         obs = observables(rho, spec)
         return obs.g2_a, obs.mean_n_a
     amps = hierarchy_steady(params) if solver == SOLVER_HIERARCHY \

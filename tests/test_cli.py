@@ -1,10 +1,17 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import photonmol
 from photonmol import cli_main
+
+SRC = Path(photonmol.__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -86,6 +93,22 @@ def test_point_overflow_is_a_solver_error(capsys, solver):
     assert code == 2
     assert out == ""  # no NaN or Infinity printed as JSON
     assert err.startswith("solver error:") and "overflowed" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--eps-a", "1e140", "--solver", "Hierarchy"),
+    ("--eps-a", "1e160"),
+])
+def test_point_overflow_writes_one_stderr_line(capfd, argv):
+    # A fresh interpreter, because pytest records warnings instead of
+    # printing them; its stderr is the test's file descriptor 2.
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "photonmol", "point", "--j", "3", "--delta", "0.5", *argv],
+        env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    err = capfd.readouterr().err
+    assert done.returncode == 2
+    assert len(err.splitlines()) == 1 and err.startswith("solver error:"), err
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,12 +4,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from photonmol import (
     HilbertSpec,
     SolverError,
     SystemParams,
     dual_drive_optimum_asymptotic,
+    evaluate_point,
     evolve,
     hierarchy_steady,
     g2_approx,
@@ -17,7 +19,9 @@ from photonmol import (
     observables,
     steady_state,
     symmetric_params,
+    unvec,
     validate_density_matrix,
+    vec,
 )
 from photonmol.lindblad import _openblas_controls, _single_threaded_blas
 
@@ -61,6 +65,92 @@ def test_steady_state_rejects_a_non_finite_state():
     params = SystemParams(coupling_j=3.0, eps_a=1e160, delta_a=0.5, delta_b=0.5)
     with pytest.raises(SolverError, match="overflowed"):
         steady_state(liouvillian(params, SPEC))
+
+
+def test_steady_state_rejects_a_large_residual(monkeypatch):
+    # A solve that returns a perturbed vector leaves a residual far above
+    # the tolerance; the gate must catch it rather than return the state.
+    liouv = liouvillian(symmetric_params(10.0, delta=0.3, u=0.02, eta=3.0), SPEC)
+    exact_solve = scipy.linalg.lu_solve
+    noise = 1e-6 * np.random.default_rng(61).normal(size=SPEC.dim**2)
+
+    def perturbed_solve(*args, **kwargs):
+        return exact_solve(*args, **kwargs) + noise
+
+    monkeypatch.setattr(scipy.linalg, "lu_solve", perturbed_solve)
+    with pytest.raises(SolverError, match="ill-conditioned"):
+        steady_state(liouv)
+    with pytest.raises(SolverError, match="ill-conditioned"):
+        evaluate_point(symmetric_params(10.0, delta=0.3, u=0.02, eta=3.0),
+                       "MasterEquation")
+
+
+def complex_steady_state(liouv):
+    """The steady-state solve as it was before the real coordinates: a
+    complex LU of the full generator. Kept verbatim as the reference."""
+    size = liouv.shape[0]
+    dim = int(round(math.sqrt(size)))
+    system = liouv.copy()
+    system[0, :] = 0.0
+    system[0, :: dim + 1] = 1.0  # trace row
+    rhs = np.zeros(size, dtype=complex)
+    rhs[0] = 1.0
+    with _single_threaded_blas:
+        try:
+            lu = scipy.linalg.lu_factor(system)
+            solution = scipy.linalg.lu_solve(lu, rhs)
+            for _ in range(2):  # iterative refinement tightens tiny populations
+                solution += scipy.linalg.lu_solve(lu, rhs - system @ solution)
+        except (scipy.linalg.LinAlgError, ValueError) as err:
+            raise SolverError(f"steady-state system is singular: {err}") from err
+        rho = unvec(solution)
+        rho = 0.5 * (rho + rho.conj().T)
+        rho /= np.trace(rho).real
+
+        residual = np.max(np.abs(liouv @ vec(rho)))
+        tol = 1e-10 * max(np.max(np.abs(liouv)), 1.0)
+        if not math.isfinite(residual):  # NaN fails every comparison
+            raise SolverError(f"steady-state solve overflowed: residual {residual}")
+        if residual > tol:
+            cond = np.linalg.cond(system)
+            raise SolverError(
+                f"steady-state solve ill-conditioned: residual {residual:.3e} "
+                f"exceeds {tol:.3e} (condition number ~{cond:.3e})"
+            )
+    return rho
+
+
+def asymmetric_dual_drive_points(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        eps_a = rng.uniform(0.005, 0.03)
+        yield SystemParams(
+            delta_a=rng.uniform(-3, 3), delta_b=rng.uniform(-3, 3),
+            coupling_j=rng.uniform(1, 15), u_a=rng.uniform(0, 0.2),
+            u_b=rng.uniform(0, 0.2), eps_a=eps_a, eps_b=eps_a / rng.uniform(1.2, 10),
+            phi_a=rng.uniform(-math.pi, math.pi), phi_b=rng.uniform(-math.pi, math.pi),
+            kappa_a=rng.uniform(0.7, 1.5), kappa_b=rng.uniform(0.7, 1.5))
+
+
+@pytest.mark.parametrize("n_max", [2, 3, 4])
+def test_master_equation_point_matches_the_complex_solve(n_max):
+    spec = HilbertSpec(n_max, n_max)
+    for params in asymmetric_dual_drive_points(67 + n_max, 8):
+        g2, mean_n = evaluate_point(params, "MasterEquation", n_max)
+        reference = observables(complex_steady_state(liouvillian(params, spec)), spec)
+        assert reference.mean_n_a > 1e-14
+        assert mean_n == pytest.approx(reference.mean_n_a, rel=1e-9, abs=0.0)
+        assert g2 == pytest.approx(reference.g2_a, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("n_max", [2, 3, 4])
+def test_steady_state_of_a_dense_generator_matches_evaluate_point(n_max):
+    spec = HilbertSpec(n_max, n_max)
+    for params in asymmetric_dual_drive_points(71 + n_max, 4):
+        g2, mean_n = evaluate_point(params, "MasterEquation", n_max)
+        obs = observables(steady_state(liouvillian(params, spec)), spec)
+        assert obs.mean_n_a == pytest.approx(mean_n, rel=1e-12, abs=0.0)
+        assert obs.g2_a == pytest.approx(g2, rel=1e-12, abs=0.0)
 
 
 def test_evolve_zero_generator_returns_state():

@@ -16,7 +16,7 @@ from photonmol import (
     vec,
     wrap_phase,
 )
-from photonmol.model import apply_axis
+from photonmol.model import apply_axis, hermitian_liouvillian
 
 SPEC = HilbertSpec(3, 3)
 
@@ -155,6 +155,44 @@ def test_liouvillian_matches_kronecker_formula():
                 scale = max(np.max(np.abs(reference)), 1.0)
                 deviation = np.max(np.abs(liouvillian(params, spec) - reference))
                 assert deviation <= 1e-13 * scale, (spec, deviation)
+
+
+def hermitian_coordinates(liouv, dim):
+    """Re(P L T) written out: L applied to each Hermitian basis matrix (the
+    units on the diagonal, then E_ij + E_ji, then i E_ij - i E_ji over the
+    upper triangle in np.triu_indices order), and the result's diagonal,
+    upper-triangle real parts and imaginary parts read off."""
+    upper = list(zip(*np.triu_indices(dim, 1)))
+    basis = []
+    for i in range(dim):
+        unit = np.zeros((dim, dim), dtype=complex)
+        unit[i, i] = 1.0
+        basis.append(unit)
+    for phase in (1.0, 1j):
+        for i, j in upper:
+            unit = np.zeros((dim, dim), dtype=complex)
+            unit[i, j], unit[j, i] = phase, np.conj(phase)
+            basis.append(unit)
+    images = liouv @ np.column_stack([vec(unit) for unit in basis])
+    out = images.reshape((dim, dim, -1), order="F")
+    rows = [out[i, i].real for i in range(dim)]
+    rows += [out[i, j].real for i, j in upper] + [out[i, j].imag for i, j in upper]
+    return np.array(rows).reshape(dim * dim, dim * dim)
+
+
+def test_hermitian_liouvillian_matches_kronecker_formula():
+    rng = np.random.default_rng(59)
+    for n_max_a in range(5):
+        for n_max_b in range(5):
+            spec = HilbertSpec(n_max_a, n_max_b)
+            params = random_params(rng)
+            reference = kron_liouvillian(params, spec)
+            scale = max(np.max(np.abs(reference)), 1.0)
+            liouv_h, max_abs = hermitian_liouvillian(params, spec)
+            expected = hermitian_coordinates(reference, spec.dim)
+            deviation = np.max(np.abs(liouv_h - expected))
+            assert deviation <= 1e-13 * scale, (spec, deviation)
+            assert max_abs == pytest.approx(np.max(np.abs(reference)), rel=1e-13, abs=0.0)
 
 
 def test_liouvillian_returns_a_fresh_array():
