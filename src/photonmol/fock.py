@@ -5,6 +5,7 @@ i.e. mode A is the slow (outer) index of the Kronecker product.
 """
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,9 @@ class HilbertSpec:
     n_max_b: int
 
     def __post_init__(self):
+        for cutoff in (self.n_max_a, self.n_max_b):
+            if isinstance(cutoff, bool) or not isinstance(cutoff, numbers.Integral):
+                raise ValueError(f"photon-number cutoffs must be integers, got {cutoff!r}")
         if self.n_max_a < 0 or self.n_max_b < 0:
             raise ValueError("photon-number cutoffs must be non-negative")
 

@@ -12,11 +12,13 @@ import numpy as np
 import scipy.linalg
 
 from .errors import SolverError
-from .fock import HilbertSpec, mode_annihilators
+# mode_annihilators is not called here. It stays importable from this module
+# because perfbench's tracer looks it up here.
+from .fock import HilbertSpec, mode_annihilators  # noqa: F401
 from .model import hermitian_maps, unvec, vec
 
-# Mean photon numbers below this are treated as exactly zero when forming g2.
-_G2_FLOOR = 1e-300
+# LU factorisation of the real steady-state system; returns (lu, piv, info).
+_getrf = scipy.linalg.get_lapack_funcs("getrf", dtype=np.float64)
 
 # Trace drift per integration step signalling an unstable step size.
 _TRACE_DRIFT_LIMIT = 1e-6
@@ -98,8 +100,9 @@ _single_threaded_blas = _SingleThreadedBlas()
 class Observables:
     """Mean photon numbers and equal-time second-order correlations.
 
-    g2 values are None when the corresponding mean photon number vanishes
-    (the correlation is undefined rather than NaN).
+    g2 values are None when the square of the corresponding mean photon
+    number is 0.0, as in the weak-drive solvers (the correlation is
+    undefined rather than NaN).
     """
 
     mean_n_a: float
@@ -154,10 +157,14 @@ def hermitian_steady_state(liouv_h: np.ndarray, scale: float) -> np.ndarray:
         return product
 
     with _single_threaded_blas, np.errstate(all="ignore"):
-        try:
-            lu = scipy.linalg.lu_factor(_trace_system(liouv_h, dim), overwrite_a=True)
-        except (scipy.linalg.LinAlgError, ValueError) as err:
+        try:  # LAPACK directly: lu_factor warns on an exact zero pivot
+            factors, pivots, info = _getrf(np.asarray_chkfinite(_trace_system(liouv_h, dim)),
+                                           overwrite_a=True)
+        except ValueError as err:
             raise SolverError(f"steady-state system is singular: {err}") from err
+        if info > 0:
+            raise SolverError(f"steady-state system is singular: pivot {info} is exactly zero")
+        lu = factors, pivots
         solution = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
         for _ in range(2):  # iterative refinement tightens tiny populations
             solution += scipy.linalg.lu_solve(lu, rhs - constrained(solution),
@@ -222,20 +229,28 @@ def evolve(
     return unvec(v)
 
 
+@functools.lru_cache(maxsize=16)
+def _photon_numbers(spec: HilbertSpec) -> np.ndarray:
+    """(mode, moment, state) array: for modes A and B, n and n(n-1) of each
+    basis state, the diagonals of a'a and a'a'aa. Cached per space and
+    shared between callers, so read-only."""
+    counts = np.array([spec.occupations(i) for i in range(spec.dim)]).T
+    weights = np.stack([counts, counts * (counts - 1)], axis=1).astype(float)
+    weights.setflags(write=False)
+    return weights
+
+
 def observables(rho: np.ndarray, spec: HilbertSpec) -> Observables:
-    """Mean photon numbers and g2(0) of both modes from a density matrix."""
-    a, b = mode_annihilators(spec)
-    means = []
-    g2s = []
-    for c in (a, b):
-        cd = c.conj().T
-        mean_n = max(np.trace(cd @ c @ rho).real, 0.0)
+    """Mean photon numbers and g2(0) of both modes from a density matrix.
+    Both moments are diagonal in the Fock basis, so they are read from the
+    populations."""
+    populations = rho.diagonal().real
+    means, g2s = [], []
+    for n, pairs in _photon_numbers(spec):
+        mean_n = max(populations @ n, 0.0)
+        denom = mean_n * mean_n
         means.append(mean_n)
-        if mean_n < _G2_FLOOR:
-            g2s.append(None)
-        else:
-            pair = max(np.trace(cd @ cd @ c @ c @ rho).real, 0.0)
-            g2s.append(pair / mean_n**2)
+        g2s.append(None if denom == 0.0 else max(populations @ pairs, 0.0) / denom)
     return Observables(mean_n_a=means[0], mean_n_b=means[1],
                        g2_a=g2s[0], g2_b=g2s[1])
 

@@ -234,7 +234,7 @@ def _liouvillian_table(spec: HilbertSpec) -> tuple[np.ndarray, scipy.sparse.csr_
     generators = [
         commutator(op) for op in (
             ad @ a, bd @ b, a @ bd + ad @ b, ad @ ad @ a @ a, bd @ bd @ b @ b,
-            ad, a, bd, b,
+            ad + a, 1j * (ad - a), bd + b, 1j * (bd - b),
         )
     ] + [dissipator(a), dissipator(b)]
 
@@ -257,15 +257,16 @@ def _liouvillian_table(spec: HilbertSpec) -> tuple[np.ndarray, scipy.sparse.csr_
 
 
 def _liouvillian_coefficients(params: SystemParams) -> np.ndarray:
-    """Coefficients of the generators of _liouvillian_table(), in its order."""
+    """Real coefficients of the generators of _liouvillian_table(), in its
+    order: each drive eps e^{i phi} enters by its real and imaginary parts."""
     drive_a = params.eps_a * np.exp(1j * params.phi_a)
     drive_b = params.eps_b * np.exp(1j * params.phi_b)
     return np.array([
         params.delta_a, params.delta_b, params.coupling_j,
         params.u_a, params.u_b,
-        drive_a, np.conj(drive_a), drive_b, np.conj(drive_b),
+        drive_a.real, drive_a.imag, drive_b.real, drive_b.imag,
         params.kappa_a, params.kappa_b,
-    ], dtype=complex)
+    ])
 
 
 def liouvillian(params: SystemParams, spec: HilbertSpec) -> np.ndarray:
@@ -309,20 +310,12 @@ def hermitian_maps(dim: int) -> tuple[scipy.sparse.csr_array, scipy.sparse.csr_a
     return to_real, to_vec
 
 
-# Complex coefficients from real ones: _liouvillian_coefficients() =
-# _COMPLEX_FROM_REAL @ _hermitian_coefficients(); each drive and its
-# conjugate come from the drive's real and imaginary parts.
-_COMPLEX_FROM_REAL = np.eye(11, dtype=complex)
-_COMPLEX_FROM_REAL[5:9, 5:9] = [[1, 1j, 0, 0], [1, -1j, 0, 0],
-                                [0, 0, 1, 1j], [0, 0, 1, -1j]]
-
-
 @functools.lru_cache(maxsize=16)
 def _hermitian_table(spec: HilbertSpec) -> tuple[np.ndarray, scipy.sparse.csr_array]:
     """_liouvillian_table() in the real coordinates of hermitian_maps().
 
     Each generator, taken with a real coefficient from
-    _hermitian_coefficients(), preserves Hermiticity, so it acts on the
+    _liouvillian_coefficients(), preserves Hermiticity, so it acts on the
     coordinates as a real matrix. Returns the column-major flat indices of
     the real generator's structurally nonzero entries and a real sparse
     (positions x coefficients) table, so that R.T.flat[positions] = table @
@@ -335,9 +328,8 @@ def _hermitian_table(spec: HilbertSpec) -> tuple[np.ndarray, scipy.sparse.csr_ar
     to_real, to_vec = hermitian_maps(spec.dim)
     size = spec.dim**2
     rows, cols = np.divmod(positions, size)
-    real_columns = (table @ _COMPLEX_FROM_REAL).T
     flat, column, values = [], [], []
-    for k, generator in enumerate(real_columns):
+    for k, generator in enumerate(table.T.toarray()):
         real = (to_real @ scipy.sparse.csr_array(
             (generator, (rows, cols)), shape=(size, size)) @ to_vec).real.tocoo()
         real.eliminate_zeros()
@@ -347,19 +339,10 @@ def _hermitian_table(spec: HilbertSpec) -> tuple[np.ndarray, scipy.sparse.csr_ar
     real_positions, slot = np.unique(np.concatenate(flat), return_inverse=True)
     real_table = scipy.sparse.csr_array(
         (np.concatenate(values), (slot, np.concatenate(column))),
-        shape=(real_positions.size, len(real_columns)),
+        shape=(real_positions.size, table.shape[1]),
     )
     real_positions.setflags(write=False)
     return real_positions, real_table
-
-
-def _hermitian_coefficients(coefficients: np.ndarray) -> np.ndarray:
-    """Real coefficients of _hermitian_table() from the complex ones of
-    _liouvillian_coefficients(): each drive ε e^{iφ} and its conjugate are
-    replaced by the drive's real and imaginary parts."""
-    c = coefficients
-    return np.array([*c[:5].real, c[5].real, c[5].imag, c[7].real, c[7].imag,
-                     *c[9:].real])
 
 
 def hermitian_liouvillian(params: SystemParams, spec: HilbertSpec) -> tuple[np.ndarray, float]:
@@ -372,7 +355,7 @@ def hermitian_liouvillian(params: SystemParams, spec: HilbertSpec) -> tuple[np.n
     coefficients = _liouvillian_coefficients(params)
     size = spec.dim**2
     liouv = np.zeros(size * size)
-    liouv[positions] = table @ _hermitian_coefficients(coefficients)
+    liouv[positions] = table @ coefficients
     entries = _liouvillian_table(spec)[1] @ coefficients
     return (liouv.reshape((size, size), order="F"),
             float(np.max(np.abs(entries), initial=0.0)))

@@ -77,9 +77,10 @@ def evaluate_point(
         rho = hermitian_steady_state(*hermitian_liouvillian(params, spec))
         obs = observables(rho, spec)
         return obs.g2_a, obs.mean_n_a
-    amps = hierarchy_steady(params) if solver == SOLVER_HIERARCHY \
-        else full_truncated_steady(params)
-    g2, mean_n = g2_approx(amps), mean_photon_approx(amps)
+    with np.errstate(all="ignore"):  # overflow yields inf or NaN, flagged below
+        amps = hierarchy_steady(params) if solver == SOLVER_HIERARCHY \
+            else full_truncated_steady(params)
+        g2, mean_n = g2_approx(amps), mean_photon_approx(amps)
     if not math.isfinite(mean_n) or not (g2 is None or math.isfinite(g2)):
         raise SolverError("weak-drive g2 overflowed: |c10|^4 or |c20|^2 is not finite")
     return g2, mean_n
@@ -135,8 +136,9 @@ def evaluate_grid(points: Mapping[str, object], solver: str, n_max: int = DEFAUL
         pending = range(size)[chunk]
         if stacked is not None:
             try:
-                g2[chunk], mean_n[chunk] = stacked(SimpleNamespace(**{
-                    name: column[chunk] for name, column in zip(PARAM_FIELDS, columns)}))
+                with np.errstate(all="ignore"):  # non-finite points are redone below
+                    g2[chunk], mean_n[chunk] = stacked(SimpleNamespace(**{
+                        name: column[chunk] for name, column in zip(PARAM_FIELDS, columns)}))
             except (ValueError, np.linalg.LinAlgError):
                 pass  # an asymmetric Hierarchy point or an exactly singular matrix
             else:

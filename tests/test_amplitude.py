@@ -500,10 +500,13 @@ def test_grid_rejects_non_positive_threads(threads):
         evaluate_grid({"delta_a": np.zeros(4)}, "FullTruncated", threads=threads)
 
 
-@pytest.mark.parametrize("solver", [SOLVER_FULL_TRUNCATED, "MasterEquation"])
-def test_grid_rejects_bad_cutoff_for_the_whole_call(solver):
+@pytest.mark.parametrize("solver, n_max", [
+    pytest.param(solver, n_max, id=solver if n_max == -1 else f"{solver}-{n_max}")
+    for n_max in (-1, 2.5, 2.0, True) for solver in (SOLVER_FULL_TRUNCATED, "MasterEquation")
+])
+def test_grid_rejects_bad_cutoff_for_the_whole_call(solver, n_max):
     with pytest.raises(ValueError, match="cutoff"):
-        evaluate_grid({"delta_a": np.zeros(3), "eps_a": 0.01}, solver, n_max=-1)
+        evaluate_grid({"delta_a": np.zeros(3), "eps_a": 0.01}, solver, n_max=n_max)
 
 
 @pytest.mark.parametrize("size, threads, chunks", [

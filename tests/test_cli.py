@@ -98,6 +98,11 @@ def test_point_overflow_is_a_solver_error(capsys, solver):
 @pytest.mark.parametrize("argv", [
     ("--eps-a", "1e140", "--solver", "Hierarchy"),
     ("--eps-a", "1e160"),
+    ("--eps-a", "1e160", "--solver", "Hierarchy"),
+    # Undriven, uncoupled, vanishing rates: 0/0 in the one-photon
+    # amplitudes, and an exactly singular generator.
+    ("--j", "0", "--delta", "0", "--kappa", "5e-324", "--eps-a", "0", "--solver", "Hierarchy"),
+    ("--j", "0", "--delta", "0", "--kappa", "5e-324", "--eps-a", "0"),
 ])
 def test_point_overflow_writes_one_stderr_line(capfd, argv):
     # A fresh interpreter, because pytest records warnings instead of
@@ -109,6 +114,24 @@ def test_point_overflow_writes_one_stderr_line(capfd, argv):
     err = capfd.readouterr().err
     assert done.returncode == 2
     assert len(err.splitlines()) == 1 and err.startswith("solver error:"), err
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+@pytest.mark.parametrize("solver", ["MasterEquation", "Hierarchy", "FullTruncated"])
+def test_point_with_underflowing_mean_n_prints_an_undefined_g2(solver):
+    # mean n ~ 6e-203: its square underflows to 0.0 under every solver.
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "photonmol", "point", "--j", "3", "--eps-a", "1e-100",
+         "--delta", "0.5", "--solver", solver],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    payload = json.loads(done.stdout, parse_constant=reject_constant)
+    assert payload["g2_a"] is None and payload["g2_a_undefined"] is True
+    assert 0.0 < payload["mean_n_a"] < 1e-200
 
 
 @pytest.mark.parametrize("argv", [

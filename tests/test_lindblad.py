@@ -16,6 +16,7 @@ from photonmol import (
     hierarchy_steady,
     g2_approx,
     liouvillian,
+    mode_annihilators,
     observables,
     steady_state,
     symmetric_params,
@@ -23,7 +24,7 @@ from photonmol import (
     validate_density_matrix,
     vec,
 )
-from photonmol.lindblad import _openblas_controls, _single_threaded_blas
+from photonmol.lindblad import _openblas_controls, _photon_numbers, _single_threaded_blas
 
 SPEC = HilbertSpec(3, 3)
 
@@ -151,6 +152,48 @@ def test_steady_state_of_a_dense_generator_matches_evaluate_point(n_max):
         obs = observables(steady_state(liouvillian(params, spec)), spec)
         assert obs.mean_n_a == pytest.approx(mean_n, rel=1e-12, abs=0.0)
         assert obs.g2_a == pytest.approx(g2, rel=1e-12, abs=0.0)
+
+
+def operator_observables(rho, spec):
+    """observables() as it was before it read the populations: traces of
+    the operator products, per mode (g2, mean n). Kept as the reference."""
+    a, b = mode_annihilators(spec)
+    out = []
+    for c in (a, b):
+        cd = c.conj().T
+        mean_n = max(np.trace(cd @ c @ rho).real, 0.0)
+        pair = max(np.trace(cd @ cd @ c @ c @ rho).real, 0.0)
+        out.append((pair / mean_n**2, mean_n))
+    return out
+
+
+@pytest.mark.parametrize("n_max_a, n_max_b", [(2, 3), (4, 2), (3, 3)])
+def test_observables_match_the_operator_products(n_max_a, n_max_b):
+    spec = HilbertSpec(n_max_a, n_max_b)
+    for params in asymmetric_dual_drive_points(83 + 5 * n_max_a + n_max_b, 8):
+        rho = steady_state(liouvillian(params, spec))
+        obs = observables(rho, spec)
+        (g2_a, mean_n_a), (g2_b, mean_n_b) = operator_observables(rho, spec)
+        assert obs.mean_n_a == pytest.approx(mean_n_a, rel=2e-15, abs=0.0)
+        assert obs.mean_n_b == pytest.approx(mean_n_b, rel=2e-15, abs=0.0)
+        assert obs.g2_a == pytest.approx(g2_a, rel=2e-15, abs=0.0)
+        assert obs.g2_b == pytest.approx(g2_b, rel=2e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("spec", [HilbertSpec(2, 3), HilbertSpec(4, 2), HilbertSpec(0, 1)])
+def test_photon_numbers_follow_the_basis_convention(spec):
+    weights = _photon_numbers(spec)
+    assert weights.shape == (2, 2, spec.dim)
+    for index in range(spec.dim):
+        for mode, n in enumerate(spec.occupations(index)):
+            assert weights[mode, :, index].tolist() == [n, n * (n - 1)]
+
+
+def test_exactly_singular_generator_is_reported_as_singular():
+    # Undriven, uncoupled and with vanishing rates: an exact zero pivot.
+    params = SystemParams(kappa_a=5e-324, kappa_b=5e-324)
+    with pytest.raises(SolverError, match="singular"):
+        evaluate_point(params, "MasterEquation")
 
 
 def test_evolve_zero_generator_returns_state():
