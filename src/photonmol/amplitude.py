@@ -236,10 +236,10 @@ def full_truncated_grid(params) -> tuple[np.ndarray, np.ndarray]:
 def _g2_and_mean(c10: np.ndarray, c20: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """g2_approx and mean_photon_approx over amplitude arrays, with NaN for
     an undefined g2. hypot and float_power call the same libm hypot and pow
-    as abs(c) ** 2 on a scalar, so each value equals the scalar one."""
-    with np.errstate(all="ignore"):  # overflow yields inf or NaN, for the caller to flag
-        mean = np.float_power(np.hypot(c10.real, c10.imag), 2.0)
-        denom = mean * mean
-        g2 = 2.0 * np.float_power(np.hypot(c20.real, c20.imag), 2.0) / denom
+    as abs(c) ** 2 on a scalar, so each value equals the scalar one.
+    Overflow yields inf or NaN; evaluate_grid ignores the warnings."""
+    mean = np.float_power(np.hypot(c10.real, c10.imag), 2.0)
+    denom = mean * mean
+    g2 = 2.0 * np.float_power(np.hypot(c20.real, c20.imag), 2.0) / denom
     g2[denom == 0.0] = np.nan
     return g2, mean

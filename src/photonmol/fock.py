@@ -20,10 +20,8 @@ class HilbertSpec:
 
     def __post_init__(self):
         for cutoff in (self.n_max_a, self.n_max_b):
-            if isinstance(cutoff, bool) or not isinstance(cutoff, numbers.Integral):
-                raise ValueError(f"photon-number cutoffs must be integers, got {cutoff!r}")
-        if self.n_max_a < 0 or self.n_max_b < 0:
-            raise ValueError("photon-number cutoffs must be non-negative")
+            if isinstance(cutoff, bool) or not isinstance(cutoff, numbers.Integral) or cutoff < 0:
+                raise ValueError(f"photon-number cutoff {cutoff!r} is not a non-negative integer")
 
     @property
     def dim(self) -> int:

@@ -12,8 +12,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import SolverError
-# mode_annihilators is not called here. It stays importable from this module
-# because perfbench's tracer looks it up here.
+# mode_annihilators is not called here; perfbench's tracer looks it up here.
 from .fock import HilbertSpec, mode_annihilators  # noqa: F401
 from .model import hermitian_maps, unvec, vec
 
@@ -101,8 +100,7 @@ class Observables:
     """Mean photon numbers and equal-time second-order correlations.
 
     g2 values are None when the square of the corresponding mean photon
-    number is 0.0, as in the weak-drive solvers (the correlation is
-    undefined rather than NaN).
+    number is 0.0: the correlation is undefined, as in the weak-drive solvers.
     """
 
     mean_n_a: float
@@ -157,14 +155,12 @@ def hermitian_steady_state(liouv_h: np.ndarray, scale: float) -> np.ndarray:
         return product
 
     with _single_threaded_blas, np.errstate(all="ignore"):
-        try:  # LAPACK directly: lu_factor warns on an exact zero pivot
-            factors, pivots, info = _getrf(np.asarray_chkfinite(_trace_system(liouv_h, dim)),
-                                           overwrite_a=True)
+        try:  # getrf, because lu_factor warns on an exactly zero pivot
+            *lu, info = _getrf(np.asarray_chkfinite(_trace_system(liouv_h, dim)), overwrite_a=True)
         except ValueError as err:
             raise SolverError(f"steady-state system is singular: {err}") from err
         if info > 0:
             raise SolverError(f"steady-state system is singular: pivot {info} is exactly zero")
-        lu = factors, pivots
         solution = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
         for _ in range(2):  # iterative refinement tightens tiny populations
             solution += scipy.linalg.lu_solve(lu, rhs - constrained(solution),
