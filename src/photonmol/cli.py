@@ -153,6 +153,9 @@ def cli_main(argv=None) -> int:
     except SolverError as err:
         print(f"solver error: {err}", file=sys.stderr)
         return 2
+    except MemoryError as err:
+        print(f"error: out of memory: {str(err) or 'allocation failed'}", file=sys.stderr)
+        return 1
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -13,18 +13,18 @@ drive ratio, on one thread.
 """
 
 import math
-import numbers
 from pathlib import Path
 
 import numpy as np
 
+from .errors import check_int
 from .model import SystemParams
 from .optimal import (
     dual_drive_optimum_asymptotic,
     numeric_optimum,
     single_drive_optimum,
 )
-from .solvers import SOLVER_FULL_TRUNCATED, SOLVER_MASTER_EQUATION, check_threads
+from .solvers import SOLVER_FULL_TRUNCATED, SOLVER_MASTER_EQUATION
 from .sweep import (
     Axis,
     SweepConfig,
@@ -230,10 +230,9 @@ def figure(
         raise ValueError(
             f"unknown figure {name!r}; valid names: {', '.join(FIGURE_NAMES)}"
         )
-    if count is not None and (isinstance(count, bool)
-                              or not isinstance(count, numbers.Integral) or count < 2):
-        raise ValueError(f"count must be an integer of at least 2, got {count!r}")
-    check_threads(threads)
+    if count is not None:
+        check_int(count, 2, "count")
+    check_int(threads, 1, "threads")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{name}.csv"

@@ -5,10 +5,11 @@ i.e. mode A is the slow (outer) index of the Kronecker product.
 """
 
 import functools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import check_int
 
 
 @dataclass(frozen=True)
@@ -20,8 +21,7 @@ class HilbertSpec:
 
     def __post_init__(self):
         for cutoff in (self.n_max_a, self.n_max_b):
-            if isinstance(cutoff, bool) or not isinstance(cutoff, numbers.Integral) or cutoff < 0:
-                raise ValueError(f"photon-number cutoff {cutoff!r} is not a non-negative integer")
+            check_int(cutoff, 0, "photon-number cutoff")
 
     @property
     def dim(self) -> int:
@@ -50,8 +50,7 @@ def destroy(n_max: int) -> np.ndarray:
 
     Entries M[n-1, n] = sqrt(n); everything above the cutoff is dropped.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
+    check_int(n_max, 0, "photon-number cutoff")
     return np.diag(np.sqrt(np.arange(1, n_max + 1)), 1).astype(complex)
 
 

@@ -9,14 +9,16 @@ by eliminating the Kerr strength and root-scanning the detuning), and a
 direct numerical minimization of the weak-drive correlation.
 """
 
+import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq, minimize
 
-from .errors import SolverError
+from .errors import SolverError, check_int
 from .model import symmetric_params
 from .solvers import (
     DEFAULT_N_MAX,
@@ -121,89 +123,61 @@ def dual_drive_optimum_asymptotic(kappa: float, j: float, eta: float) -> Optimal
 # by scanning the resulting quartic for sign changes.
 
 
-def det_condition_real(delta, u, kappa, j, eta):
-    """Real part of the determinant condition at zero relative phase."""
-    return (
-        16 * j * delta**2 - 4 * j * kappa**2 + 6 * delta * kappa**2 * eta
-        - 8 * delta**3 * eta - 8 * delta * j**2 / eta + 16 * j * delta * u
-        - 4 * j**2 / eta * u - 4 * j**2 * eta * u - 8 * delta**2 * eta * u
-        + 2 * kappa**2 * eta * u
-    )
+def _condition_terms(d, kappa, j, eta):
+    """Terms (r0, r1, i0, i1) of the two determinant conditions at zero
+    relative phase, split by power of u: real = sum(r0) + u*sum(r1) and
+    imaginary = kappa*(sum(i0) + u*sum(i1)). Sums run left to right."""
+    r0 = (16 * j * d**2, -4 * j * kappa**2, 6 * d * kappa**2 * eta,
+          -8 * d**3 * eta, -8 * d * j**2 / eta)
+    r1 = (16 * j * d, -4 * j**2 / eta, -4 * j**2 * eta, -8 * d**2 * eta,
+          2 * kappa**2 * eta)
+    i0 = (4 * j**2 / eta, 12 * d**2 * eta, -kappa**2 * eta, -16 * j * d)
+    i1 = (8 * d * eta, -8 * j)
+    return r0, r1, i0, i1
 
 
-def det_condition_imag(delta, u, kappa, j, eta):
-    """Imaginary part of the determinant condition at zero relative phase."""
-    return (
-        4 * j**2 * kappa / eta + 12 * kappa * delta**2 * eta - kappa**3 * eta
-        - 16 * j * kappa * delta + 8 * kappa * delta * eta * u
-        - 8 * j * kappa * u
-    )
-
-
-def _condition_scales(delta, u, kappa, j, eta):
-    """Sum of term magnitudes of each condition, for relative residuals."""
-    real_scale = (
-        abs(16 * j * delta**2) + abs(4 * j * kappa**2)
-        + abs(6 * delta * kappa**2 * eta) + abs(8 * delta**3 * eta)
-        + abs(8 * delta * j**2 / eta) + abs(16 * j * delta * u)
-        + abs(4 * j**2 / eta * u) + abs(4 * j**2 * eta * u)
-        + abs(8 * delta**2 * eta * u) + abs(2 * kappa**2 * eta * u)
-    )
-    imag_scale = (
-        abs(4 * j**2 * kappa / eta) + abs(12 * kappa * delta**2 * eta)
-        + abs(kappa**3 * eta) + abs(16 * j * kappa * delta)
-        + abs(8 * kappa * delta * eta * u) + abs(8 * j * kappa * u)
-    )
-    return max(real_scale, kappa**3), max(imag_scale, kappa**3)
+def _sum(terms):
+    """Left-to-right sum that starts from the first term, not from int 0."""
+    return functools.reduce(operator.add, terms)
 
 
 def exact_condition_residuals(delta, u, kappa, j, eta):
-    """Relative residuals of the two determinant conditions at (delta, u)."""
+    """Relative residuals |sum of terms| / sum of |terms| of the real and
+    imaginary determinant conditions at (delta, u). The scales are floored
+    at kappa^3 and kappa^2 (kappa is factored out of the imaginary one)."""
     d, uu = np.longdouble(delta), np.longdouble(u)
     k, jj, e = np.longdouble(kappa), np.longdouble(j), np.longdouble(eta)
-    scale_r, scale_i = _condition_scales(d, uu, k, jj, e)
-    return (
-        float(abs(det_condition_real(d, uu, k, jj, e)) / scale_r),
-        float(abs(det_condition_imag(d, uu, k, jj, e)) / scale_i),
+    r0, r1, i0, i1 = _condition_terms(d, k, jj, e)
+    return tuple(
+        float(abs(_sum(terms)) / max(_sum(abs(t) for t in terms), floor))
+        for terms, floor in (((*r0, *(t * uu for t in r1)), k**3),
+                             ((*i0, *(t * uu for t in i1)), k**2))
     )
 
 
 def _u_eliminated_polynomial(kappa, j, eta):
     """After eliminating u from the (linear-in-u) imaginary condition,
     roots of P(delta) = A*D + B*N solve both conditions simultaneously:
-    real condition = A + B*u, u = N/D."""
-    def a_part(d):
-        return (16 * j * d**2 - 4 * j * kappa**2 + 6 * d * kappa**2 * eta
-                - 8 * d**3 * eta - 8 * d * j**2 / eta)
-
-    def a_part_d(d):
-        return 32 * j * d + 6 * kappa**2 * eta - 24 * d**2 * eta - 8 * j**2 / eta
-
-    def b_part(d):
-        return (16 * j * d - 4 * j**2 / eta - 4 * j**2 * eta
-                - 8 * d**2 * eta + 2 * kappa**2 * eta)
-
-    def b_part_d(d):
-        return 16 * j - 16 * d * eta
-
-    def n_part(d):
-        return -(4 * j**2 / eta + 12 * d**2 * eta - kappa**2 * eta - 16 * j * d)
-
-    def n_part_d(d):
-        return 16 * j - 24 * d * eta
-
-    def d_part(d):
-        return 8 * (d * eta - j)
+    real condition = A + B*u, u = N/D, with A = sum(r0), B = sum(r1),
+    N = -sum(i0) and D = sum(i1) from _condition_terms."""
+    def parts(d):
+        r0, r1, i0, i1 = _condition_terms(d, kappa, j, eta)
+        return _sum(r0), _sum(r1), -_sum(i0), _sum(i1)
 
     def poly(d):
-        return a_part(d) * d_part(d) + b_part(d) * n_part(d)
+        a, b, n, dd = parts(d)
+        return a * dd + b * n
 
-    def poly_d(d):
-        return (a_part_d(d) * d_part(d) + a_part(d) * 8 * eta
-                + b_part_d(d) * n_part(d) + b_part(d) * n_part_d(d))
+    def poly_d(d):  # D' = 8*eta
+        a, b, n, dd = parts(d)
+        a_d = 32 * j * d + 6 * kappa**2 * eta - 24 * d**2 * eta - 8 * j**2 / eta
+        b_d = 16 * j - 16 * d * eta
+        n_d = 16 * j - 24 * d * eta
+        return a_d * dd + a * 8 * eta + b_d * n + b * n_d
 
     def u_of(d):
-        return n_part(d) / d_part(d)
+        _, _, n, dd = parts(d)
+        return n / dd
 
     return poly, poly_d, u_of
 
@@ -221,8 +195,7 @@ def dual_drive_optimum_exact_phi0(
     _check_coupling(j)
     if eta <= 1:
         raise ValueError("exact dual-drive optimum requires eta > 1")
-    if samples < 2:
-        raise ValueError(f"samples must be at least 2, got {samples}")
+    check_int(samples, 2, "samples")
     poly, poly_d, u_of = _u_eliminated_polynomial(
         np.longdouble(kappa), np.longdouble(j), np.longdouble(eta)
     )
@@ -294,8 +267,7 @@ def numeric_optimum(
     """
     solver = normalize_solver(solver)
     _check_coupling(j)
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be at least 2, got {grid_points}")
+    check_int(grid_points, 2, "grid_points")
     if eps_a is None:
         eps_a = 0.01 * kappa
 
@@ -333,7 +305,7 @@ def numeric_optimum(
                           options={"xatol": REFINE_TOL, "fatol": math.inf, "maxiter": 800})
         delta_opt, u_opt = (math.exp(v) for v in result.x)
         return OptimalPoint(delta_opt=delta_opt, u_opt=u_opt,
-                            g2_min=objective(delta_opt, u_opt), method=METHOD_NUMERIC)
+                            g2_min=float(result.fun), method=METHOD_NUMERIC)
 
     opt = refine((deltas[best[1]], u_values[best[0]]))
     if log_u_cap - math.log(opt.u_opt) > REFINE_TOL or not 1 < eta < math.inf:

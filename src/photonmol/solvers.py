@@ -14,7 +14,6 @@ the package's one thread pool: threads split a grid in chunks.
 """
 
 import math
-import numbers
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
@@ -29,7 +28,7 @@ from .amplitude import (
     hierarchy_steady,
     mean_photon_approx,
 )
-from .errors import SolverError
+from .errors import SolverError, check_int
 from .fock import HilbertSpec
 # liouvillian and steady_state are not called here. They stay importable from
 # this module because perfbench's tracer looks them up here.
@@ -86,12 +85,6 @@ def evaluate_point(
     return g2, mean_n
 
 
-def check_threads(threads) -> None:
-    """ValueError unless threads is a positive integer."""
-    if isinstance(threads, bool) or not isinstance(threads, numbers.Integral) or threads < 1:
-        raise ValueError(f"threads must be a positive integer, got {threads!r}")
-
-
 def evaluate_grid(points: Mapping[str, object], solver: str, n_max: int = DEFAULT_N_MAX,
                   threads: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(g2_a, mean_n_a, error) arrays over a grid of parameter points.
@@ -108,7 +101,7 @@ def evaluate_grid(points: Mapping[str, object], solver: str, n_max: int = DEFAUL
     evaluate_point one by one. The values do not depend on threads.
     """
     solver = normalize_solver(solver)
-    check_threads(threads)
+    check_int(threads, 1, "threads")
     HilbertSpec(n_max, n_max)  # a bad cutoff fails the call, not each point
     unknown = set(points) - set(PARAM_FIELDS)
     if unknown:

@@ -15,13 +15,12 @@ is the package's one CSV writer; write_rows_csv feeds it sweep rows.
 import csv
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._version import __version__
-from .errors import SolverError
+from .errors import SolverError, check_int
 from .fock import HilbertSpec
 from .model import DERIVED_AXES, PARAM_FIELDS, SystemParams, apply_axis, drive_ratios
 from .optimal import OptimalPoint, dual_drive_optimum_asymptotic, single_drive_optimum
@@ -64,8 +63,7 @@ class Axis:
     scale: str = "linear"
 
     def __post_init__(self):
-        if self.count < 2:
-            raise ValueError("axis count must be at least 2")
+        check_int(self.count, 2, "axis count")
         if self.scale not in ("linear", "log"):
             raise ValueError(f"axis scale must be 'linear' or 'log', got {self.scale!r}")
         if self.scale == "log" and min(self.min, self.max) <= 0:
@@ -84,9 +82,6 @@ class Axis:
         missing = [name for name in _AXIS_REQUIRED if name not in data]
         if missing:
             raise ValueError(f"axis is missing fields: {missing}")
-        count = data["count"]
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
-            raise ValueError(f"axis count must be an integer, got {count!r}")
         try:
             bounds = float(data["min"]), float(data["max"])
         except (TypeError, ValueError, OverflowError) as err:
@@ -94,7 +89,7 @@ class Axis:
         if not all(map(math.isfinite, bounds)):
             raise ValueError(f"axis min and max must be finite, got {bounds}")
         return cls(parameter=data["parameter"], min=bounds[0], max=bounds[1],
-                   count=int(count), scale=data.get("scale", "linear"))
+                   count=data["count"], scale=data.get("scale", "linear"))
 
     def values(self) -> np.ndarray:
         if self.scale == "log":

@@ -494,7 +494,7 @@ def test_grid_hierarchy_rejects_asymmetric_points():
     assert np.isnan(g2[1]) and np.isnan(mean_n[1])
 
 
-@pytest.mark.parametrize("threads", [0, -1])
+@pytest.mark.parametrize("threads", [0, -1, 2.0, True])
 def test_grid_rejects_non_positive_threads(threads):
     with pytest.raises(ValueError, match="threads"):
         evaluate_grid({"delta_a": np.zeros(4)}, "FullTruncated", threads=threads)

@@ -149,6 +149,25 @@ def test_bad_numbers_are_usage_errors(capsys, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("message", [
+    "Unable to allocate 298. GiB for an array with shape (200000, 200000, 1) "
+    "and data type float64",
+    "",
+])
+def test_out_of_memory_is_one_error_line(capsys, monkeypatch, message):
+    # Raised rather than provoked: where the kernel overcommits memory, a real
+    # oversized grid would be allocated and filled.
+    def numeric_optimum(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("photonmol.cli.numeric_optimum", numeric_optimum)
+    code, out, err = run_cli(capsys, "optimize", "--j", "10", "--eta", "3",
+                             "--grid-points", "200000")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+    assert message in err
+
+
 def test_optimize_dual_drive(capsys):
     code, out, _ = run_cli(capsys, "optimize", "--j", "10", "--eta", "3",
                            "--phi", "0")

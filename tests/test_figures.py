@@ -125,7 +125,7 @@ def test_figure_threads_equivalent(tmp_path):
 
 @pytest.mark.parametrize("name, count", [
     ("fig5a", 0), ("fig5a", 1), ("fig3a", 0), ("fig3a", 1), ("fig1a", 0),
-    ("fig4c", 2.5), ("fig5b", True),
+    ("fig4c", 2.5), ("fig5b", True), ("fig3b", 3.0),
 ])
 def test_figure_rejects_counts_below_two(tmp_path, name, count):
     with pytest.raises(ValueError, match="count"):

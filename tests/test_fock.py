@@ -29,6 +29,12 @@ def test_destroy_rejects_negative_cutoff():
         destroy(-1)
 
 
+@pytest.mark.parametrize("n_max", [2.5, 2.0, True])
+def test_destroy_rejects_non_integer_cutoff(n_max):
+    with pytest.raises(ValueError, match="cutoff"):
+        destroy(n_max)
+
+
 def test_truncated_commutator_pattern():
     # [a, adag] is the identity except the top corner, which collects the
     # truncation artifact -n_max. Off-diagonal entries vanish exactly; the

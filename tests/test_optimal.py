@@ -114,7 +114,7 @@ class TestDualDriveExact:
         with pytest.raises(ValueError):
             dual_drive_optimum_exact_phi0(1.0, 10.0, 1.0)
 
-    @pytest.mark.parametrize("samples", [-1, 0, 1])
+    @pytest.mark.parametrize("samples", [-1, 0, 1, 64.0, True])
     def test_requires_two_samples(self, samples):
         with pytest.raises(ValueError, match="samples"):
             dual_drive_optimum_exact_phi0(1.0, 10.0, 3.0, samples=samples)
@@ -126,6 +126,120 @@ class TestDualDriveExact:
             grid = np.linspace(2.0 * j / 4096, 2.0 * j, 4096)
             pointwise = [float(poly(np.longdouble(d))) for d in grid]
             assert poly(grid.astype(np.longdouble)).astype(float).tolist() == pointwise
+
+
+# The exact conditions as release 0.4.1 wrote them, term by term in each of
+# three places, kept as the reference for the one term table that replaced
+# them.
+
+
+def det_condition_real(delta, u, kappa, j, eta):
+    """Real part of the determinant condition at zero relative phase."""
+    return (
+        16 * j * delta**2 - 4 * j * kappa**2 + 6 * delta * kappa**2 * eta
+        - 8 * delta**3 * eta - 8 * delta * j**2 / eta + 16 * j * delta * u
+        - 4 * j**2 / eta * u - 4 * j**2 * eta * u - 8 * delta**2 * eta * u
+        + 2 * kappa**2 * eta * u
+    )
+
+
+def det_condition_imag(delta, u, kappa, j, eta):
+    """Imaginary part of the determinant condition at zero relative phase."""
+    return (
+        4 * j**2 * kappa / eta + 12 * kappa * delta**2 * eta - kappa**3 * eta
+        - 16 * j * kappa * delta + 8 * kappa * delta * eta * u
+        - 8 * j * kappa * u
+    )
+
+
+def _condition_scales(delta, u, kappa, j, eta):
+    """Sum of term magnitudes of each condition, for relative residuals."""
+    real_scale = (
+        abs(16 * j * delta**2) + abs(4 * j * kappa**2)
+        + abs(6 * delta * kappa**2 * eta) + abs(8 * delta**3 * eta)
+        + abs(8 * delta * j**2 / eta) + abs(16 * j * delta * u)
+        + abs(4 * j**2 / eta * u) + abs(4 * j**2 * eta * u)
+        + abs(8 * delta**2 * eta * u) + abs(2 * kappa**2 * eta * u)
+    )
+    imag_scale = (
+        abs(4 * j**2 * kappa / eta) + abs(12 * kappa * delta**2 * eta)
+        + abs(kappa**3 * eta) + abs(16 * j * kappa * delta)
+        + abs(8 * kappa * delta * eta * u) + abs(8 * j * kappa * u)
+    )
+    return max(real_scale, kappa**3), max(imag_scale, kappa**3)
+
+
+def reference_residuals(delta, u, kappa, j, eta):
+    d, uu = np.longdouble(delta), np.longdouble(u)
+    k, jj, e = np.longdouble(kappa), np.longdouble(j), np.longdouble(eta)
+    scale_r, scale_i = _condition_scales(d, uu, k, jj, e)
+    return (
+        float(abs(det_condition_real(d, uu, k, jj, e)) / scale_r),
+        float(abs(det_condition_imag(d, uu, k, jj, e)) / scale_i),
+    )
+
+
+def reference_u_eliminated_polynomial(kappa, j, eta):
+    def a_part(d):
+        return (16 * j * d**2 - 4 * j * kappa**2 + 6 * d * kappa**2 * eta
+                - 8 * d**3 * eta - 8 * d * j**2 / eta)
+
+    def a_part_d(d):
+        return 32 * j * d + 6 * kappa**2 * eta - 24 * d**2 * eta - 8 * j**2 / eta
+
+    def b_part(d):
+        return (16 * j * d - 4 * j**2 / eta - 4 * j**2 * eta
+                - 8 * d**2 * eta + 2 * kappa**2 * eta)
+
+    def b_part_d(d):
+        return 16 * j - 16 * d * eta
+
+    def n_part(d):
+        return -(4 * j**2 / eta + 12 * d**2 * eta - kappa**2 * eta - 16 * j * d)
+
+    def n_part_d(d):
+        return 16 * j - 24 * d * eta
+
+    def d_part(d):
+        return 8 * (d * eta - j)
+
+    def poly(d):
+        return a_part(d) * d_part(d) + b_part(d) * n_part(d)
+
+    def poly_d(d):
+        return (a_part_d(d) * d_part(d) + a_part(d) * 8 * eta
+                + b_part_d(d) * n_part(d) + b_part(d) * n_part_d(d))
+
+    def u_of(d):
+        return n_part(d) / d_part(d)
+
+    return poly, poly_d, u_of
+
+
+CONDITION_CASES = [(1.0, 10.0, 3.0), (1.0, 20.0, 1.5), (0.5, 7.0, 4.0), (2.0, 50.0, 8.0)]
+
+
+@pytest.mark.parametrize("kappa, j, eta", CONDITION_CASES)
+def test_u_eliminated_polynomial_equals_the_reference_bitwise(kappa, j, eta):
+    grid = np.linspace(2.0 * j / 4096, 2.0 * j, 4096).astype(np.longdouble)
+    args = np.longdouble(kappa), np.longdouble(j), np.longdouble(eta)
+    with np.errstate(divide="ignore", invalid="ignore"):  # u_of where delta = j/eta
+        for new, ref in zip(_u_eliminated_polynomial(*args),
+                            reference_u_eliminated_polynomial(*args)):
+            assert np.array_equal(new(grid), ref(grid), equal_nan=True)
+
+
+@pytest.mark.parametrize("kappa, j, eta", CONDITION_CASES)
+def test_residuals_equal_the_reference(kappa, j, eta):
+    opt = dual_drive_optimum_exact_phi0(kappa, j, eta)
+    rng = np.random.default_rng(7)
+    points = [(opt.delta_opt, opt.u_opt)] + [
+        (rng.uniform(0.0, 2.0 * j), rng.uniform(-kappa, kappa)) for _ in range(50)]
+    for delta, u in points:
+        real, imag = exact_condition_residuals(delta, u, kappa, j, eta)
+        ref_real, ref_imag = reference_residuals(delta, u, kappa, j, eta)
+        assert real == ref_real
+        assert abs(imag - ref_imag) <= 1e-18
 
 
 class TestNumericOptimum:
@@ -230,6 +344,12 @@ class TestBunchingConditions:
 def test_conditions_reject_non_positive_coupling(call):
     with pytest.raises(ValueError, match="coupling strength j must be positive"):
         call()
+
+
+@pytest.mark.parametrize("grid_points", [1, 3.0, True])
+def test_numeric_optimum_rejects_bad_grid_points(grid_points):
+    with pytest.raises(ValueError, match="grid_points"):
+        numeric_optimum(1.0, 10.0, 3.0, 0.0, grid_points=grid_points)
 
 
 def test_numeric_optimum_error_on_empty_grid():

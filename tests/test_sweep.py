@@ -283,11 +283,18 @@ VALID_CONFIG = {
     {"constraints": "u := dual_drive_u"},
     {"constraints": [1]},
     {"extra": 1},
+    {"axis1": {**VALID_CONFIG["axis1"], "count": 3.0}},
 ])
 def test_config_from_dict_rejects_malformed_input(change):
     SweepConfig.from_dict(VALID_CONFIG)
     with pytest.raises(ValueError):
         SweepConfig.from_dict({**VALID_CONFIG, **change})
+
+
+@pytest.mark.parametrize("count", [1, 2.5, 3.0, "3", True, None])
+def test_axis_rejects_a_count_that_is_not_an_integer_of_at_least_two(count):
+    with pytest.raises(ValueError, match="count"):
+        Axis("eta", 1.1, 2.0, count)
 
 
 @pytest.mark.parametrize("data", [[VALID_CONFIG], "config", None, 3.0])
