@@ -5,10 +5,11 @@ the six Fock states with at most two total photons, with the vacuum
 amplitude fixed to one. Two solvers are provided:
 
 * the hierarchy solve: closed forms for the one-photon amplitudes followed
-  by a 3x3 linear system for the two-photon amplitudes (it drops the
-  feedback of two-photon amplitudes onto the one-photon ones);
+  by a 3x3 linear system for the two-photon amplitudes. It drops the
+  feedback of two-photon amplitudes onto the one-photon ones, which makes
+  it the eps -> 0 limit of the master equation;
 * the full truncated solve: the complete 5x5 steady linear system including
-  those feedback terms, valid also for unequal detunings/dissipation rates.
+  those feedback terms.
 
 Each solver builds its systems from parameter arrays and solves them as
 stacks: the scalar entry points solve a batch of one, and hierarchy_grid /
@@ -41,15 +42,6 @@ def _drive_phasors(params) -> tuple:
     ea = params.eps_a * np.exp(1j * params.phi_a)
     eb = params.eps_b * np.exp(1j * params.phi_b)
     return ea, eb
-
-
-def _require_symmetric(symmetric: bool) -> None:
-    if not symmetric:
-        raise ValueError(
-            "closed-form amplitudes require equal detunings and dissipation "
-            "rates on both modes; use full_truncated_steady for the "
-            "asymmetric case"
-        )
 
 
 # --- linear systems, built and solved as stacks -----------------------------
@@ -99,27 +91,18 @@ def _solve_one(matrices: np.ndarray, rhs: np.ndarray, label: str) -> np.ndarray:
     return solution
 
 
-def _one_photon(params) -> tuple:
-    ea, eb = _drive_phasors(params)
-    pole = params.delta_a - 0.5j * params.kappa_a
-    # float_power is libm's pow, as j**2 on a Python float; an array's
-    # j**2 is j*j, which can round differently.
-    denom = _cmul(pole, pole) - np.float_power(params.coupling_j, 2.0)
-    c10 = (eb * params.coupling_j - _cmul(ea, pole)) / denom
-    c01 = (ea * params.coupling_j - _cmul(eb, pole)) / denom
-    return c10, c01
-
-
 def _two_photon_system(params, c10, c01) -> tuple[np.ndarray, np.ndarray]:
     """3x3 system of (c20, c11, c02) with the one-photon amplitudes as
-    sources (symmetric configuration)."""
+    sources."""
     ea, eb = _drive_phasors(params)
-    delta, kap, j = params.delta_a, params.kappa_a, params.coupling_j
-    zero = delta - delta  # +0.0 in delta's shape: x - x is +0.0 for finite x
+    da, db = params.delta_a, params.delta_b
+    ka, kb = params.kappa_a, params.kappa_b
+    j = params.coupling_j
+    zero = da - da  # +0.0 in da's shape: x - x is +0.0 for finite x
     matrix = _stack([
-        [2 * delta + 2 * params.u_a - 1j * kap, _SQRT2 * j, zero],
-        [zero, _SQRT2 * j, 2 * delta + 2 * params.u_b - 1j * kap],
-        [_SQRT2 * j, 2 * delta - 1j * kap, _SQRT2 * j],
+        [2 * da + 2 * params.u_a - 1j * ka, _SQRT2 * j, zero],
+        [zero, _SQRT2 * j, 2 * db + 2 * params.u_b - 1j * kb],
+        [_SQRT2 * j, da + db - 0.5j * (ka + kb), _SQRT2 * j],
     ])
     rhs = _stack([
         [_cmul(-_SQRT2 * ea, c10)],
@@ -151,12 +134,20 @@ def _full_truncated_system(params) -> tuple[np.ndarray, np.ndarray]:
 def one_photon_amplitudes(params: SystemParams) -> tuple[complex, complex]:
     """Closed-form one-photon amplitudes (c10, c01) with c00 = 1.
 
-    Requires the symmetric configuration (equal detunings and rates). The
-    interference between the direct drive and the cross-coupled drive of the
-    other mode can null either amplitude exactly.
+    The interference between the direct drive and the cross-coupled drive
+    of the other mode can null either amplitude exactly. params may also
+    hold 1-D arrays, as for the system builders, giving arrays of c10, c01.
     """
-    _require_symmetric(params.is_symmetric)
-    return _one_photon(params)
+    ea, eb = _drive_phasors(params)
+    j = params.coupling_j
+    pole_a = params.delta_a - 0.5j * params.kappa_a
+    pole_b = params.delta_b - 0.5j * params.kappa_b
+    # float_power is libm's pow, as j**2 on a Python float; an array's
+    # j**2 is j*j, which can round differently.
+    denom = _cmul(pole_a, pole_b) - np.float_power(j, 2.0)
+    c10 = (eb * j - _cmul(ea, pole_b)) / denom
+    c01 = (ea * j - _cmul(eb, pole_a)) / denom
+    return c10, c01
 
 
 def two_photon_amplitudes(
@@ -167,7 +158,6 @@ def two_photon_amplitudes(
     Solves the 3x3 linear system of the two-photon manifold in the steady
     state; the one-photon amplitudes enter only as sources.
     """
-    _require_symmetric(params.is_symmetric)
     c20, c11, c02 = _solve_one(*_two_photon_system(params, c10, c01),
                                "two-photon 3x3 system")
     return c20, c11, c02
@@ -185,8 +175,8 @@ def full_truncated_steady(params: SystemParams) -> AmplitudeSet:
     """Full steady solve of the two-photon-manifold amplitudes.
 
     Keeps the feedback of the two-photon amplitudes onto the one-photon
-    equations and supports unequal detunings and dissipation rates. Unknowns
-    are ordered (c10, c01, c20, c11, c02) with c00 fixed to one.
+    equations. Unknowns are ordered (c10, c01, c20, c11, c02) with c00
+    fixed to one.
     """
     c10, c01, c20, c11, c02 = _solve_one(*_full_truncated_system(params),
                                          "truncated-manifold 5x5 system")
@@ -214,13 +204,11 @@ def mean_photon_approx(amps: AmplitudeSet) -> float:
 
 
 def hierarchy_grid(params) -> tuple[np.ndarray, np.ndarray]:
-    """Hierarchy (g2_a, mean_n_a) over a batch of symmetric points, given
-    as an object with SystemParams' field names holding 1-D arrays. g2 is
-    NaN where hierarchy_steady would raise and where g2 is undefined.
+    """Hierarchy (g2_a, mean_n_a) over a batch of points, given as an
+    object with SystemParams' field names holding 1-D arrays. g2 is NaN
+    where hierarchy_steady would raise and where g2 is undefined.
     """
-    _require_symmetric(np.array_equal(params.delta_a, params.delta_b)
-                       and np.array_equal(params.kappa_a, params.kappa_b))
-    c10, c01 = _one_photon(params)
+    c10, c01 = one_photon_amplitudes(params)
     solutions = _solve_stack(*_two_photon_system(params, c10, c01))
     return _g2_and_mean(c10, solutions[:, 0])
 

@@ -81,11 +81,6 @@ class SystemParams:
     def replace(self, **changes) -> "SystemParams":
         return replace(self, **changes)
 
-    @property
-    def is_symmetric(self) -> bool:
-        """True when both modes share the same detuning and dissipation rate."""
-        return self.delta_a == self.delta_b and self.kappa_a == self.kappa_b
-
 
 @dataclass(frozen=True)
 class DriveRatios:

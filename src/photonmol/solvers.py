@@ -97,7 +97,7 @@ def evaluate_grid(points: Mapping[str, object], solver: str, n_max: int = DEFAUL
 
     threads workers share chunks of at most GRID_CHUNK points. The
     weak-drive solvers solve a chunk as a stack; MasterEquation points,
-    non-finite stacked results and refused chunks go through
+    non-finite stacked results and exactly singular chunks go through
     evaluate_point one by one. The values do not depend on threads.
     """
     solver = normalize_solver(solver)
@@ -132,8 +132,8 @@ def evaluate_grid(points: Mapping[str, object], solver: str, n_max: int = DEFAUL
                 with np.errstate(all="ignore"):  # non-finite points are redone below
                     g2[chunk], mean_n[chunk] = stacked(SimpleNamespace(**{
                         name: column[chunk] for name, column in zip(PARAM_FIELDS, columns)}))
-            except (ValueError, np.linalg.LinAlgError):
-                pass  # an asymmetric Hierarchy point or an exactly singular matrix
+            except np.linalg.LinAlgError:
+                pass  # an exactly singular matrix
             else:
                 pending = pending.start + np.flatnonzero(~np.isfinite(g2[chunk] + mean_n[chunk]))
         for i in pending:

@@ -64,6 +64,8 @@ class Axis:
 
     def __post_init__(self):
         check_int(self.count, 2, "axis count")
+        # json.dumps writes a Python int, not a numpy one.
+        object.__setattr__(self, "count", int(self.count))
         if self.scale not in ("linear", "log"):
             raise ValueError(f"axis scale must be 'linear' or 'log', got {self.scale!r}")
         if self.scale == "log" and min(self.min, self.max) <= 0:

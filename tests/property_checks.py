@@ -106,6 +106,26 @@ def check_truncation_convergence(draws: int, seed: int = 505) -> int:
     return draws
 
 
+def check_weak_drive_limit(draws: int, seed: int = 707) -> int:
+    """Both weak-drive g2 values approach the master equation's as eps**2,
+    and the hierarchy, its eps -> 0 limit, is the closer of the two."""
+    rng = np.random.default_rng(seed)
+    for i in range(draws):
+        params = (generic_params if 2 * i < draws else asymmetric_params)(rng)
+        gaps = {}
+        for solver in (pm.SOLVER_HIERARCHY, pm.SOLVER_FULL_TRUNCATED):
+            gaps[solver] = []
+            for scale in (1.0, 0.5):
+                scaled = params.replace(eps_a=scale * params.eps_a,
+                                        eps_b=scale * params.eps_b)
+                exact, _ = pm.evaluate_point(scaled, pm.SOLVER_MASTER_EQUATION, n_max=4)
+                approx, _ = pm.evaluate_point(scaled, solver)
+                gaps[solver].append(abs(exact - approx) / exact)
+            assert 3.5 <= gaps[solver][0] / gaps[solver][1] <= 4.5
+        assert gaps[pm.SOLVER_HIERARCHY][0] < gaps[pm.SOLVER_FULL_TRUNCATED][0]
+    return draws
+
+
 def check_one_photon_zero_condition(draws: int, seed: int = 606) -> int:
     rng = np.random.default_rng(seed)
     for _ in range(draws):

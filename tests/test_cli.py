@@ -79,11 +79,16 @@ def test_point_phi_conflicts_with_phi_a(capsys):
     assert "mutually exclusive" in err
 
 
-def test_point_solver_error_exit_code(capsys):
-    code, _, err = run_cli(capsys, "point", "--j", "10", "--delta-a", "1",
-                           "--delta-b", "2", "--solver", "Hierarchy")
-    assert code == 2
-    assert "solver error" in err
+def test_point_hierarchy_at_an_asymmetric_point(capsys):
+    code, out, _ = run_cli(capsys, "point", "--j", "10", "--delta-a", "1",
+                           "--delta-b", "2", "--u-a", "0.05", "--eps-a", "0.01",
+                           "--solver", "Hierarchy")
+    assert code == 0
+    payload = json.loads(out)
+    params = photonmol.SystemParams(**payload["params"])
+    assert (params.delta_a, params.delta_b) == (1.0, 2.0)
+    g2, mean_n = photonmol.evaluate_point(params, "Hierarchy")
+    assert (payload["g2_a"], payload["mean_n_a"]) == (g2, mean_n)
 
 
 @pytest.mark.parametrize("solver", ["MasterEquation", "Hierarchy"])

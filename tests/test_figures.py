@@ -57,7 +57,8 @@ def test_fig1a_ridge_follows_drive_ratio(tmp_path):
 
 
 def test_fig3a_numeric_tracks_dual_drive_reference(tmp_path):
-    paths = figure("fig3a", tmp_path, count=6)
+    with pytest.warns(UserWarning, match="dual-drive asymptotics"):  # at eta = 100
+        paths = figure("fig3a", tmp_path, count=6)
     rows = read_csv(paths["csv"])
     assert list(rows[0]) == ["eta", "delta_opt_numeric",
                              "delta_opt_dual_asymptotic",
@@ -81,6 +82,13 @@ def test_fig4c_cut_shows_phase_controlled_statistics(tmp_path):
     g2s = np.array([float(r["g2_a"]) for r in rows])
     assert g2s[int(np.argmin(np.abs(phis - 0.0)))] < 1.0
     assert g2s[int(np.argmin(np.abs(phis - 0.096 * math.pi)))] > 1.0
+
+
+def test_figure_takes_a_numpy_integer_count(tmp_path):
+    paths = figure("fig4c", tmp_path, count=np.int64(3))
+    meta = json.loads(open(paths["meta"]).read())
+    assert meta["config"]["axis2"]["count"] == 3
+    assert len(read_csv(paths["csv"])) == 2 * 3  # two cuts of three phases
 
 
 def test_fig5a_layout(tmp_path):

@@ -26,3 +26,7 @@ def test_truncation_convergence():
 
 def test_one_photon_zero_condition():
     assert checks.check_one_photon_zero_condition(8) == 8
+
+
+def test_weak_drive_limit():
+    assert checks.check_weak_drive_limit(40) == 40

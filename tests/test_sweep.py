@@ -57,7 +57,7 @@ def test_run_point_bunching_with_suppressed_photon_number():
 
 
 def test_run_point_attaches_parameters_to_errors():
-    params = SystemParams(delta_a=1.0, delta_b=2.0, coupling_j=5.0, eps_a=0.01)
+    params = SystemParams(coupling_j=3.0, delta_a=0.5, delta_b=0.5, eps_a=1e160)
     with pytest.raises(SolverError, match="delta_a"):
         run_point(params, "Hierarchy")
 
@@ -107,24 +107,21 @@ def test_sweep_threads_equivalent(tmp_path, solver):
     assert outputs[0].read_bytes() == outputs[1].read_bytes() == outputs[2].read_bytes()
 
 
-ASYMMETRIC = ("closed-form amplitudes require equal detunings and dissipation "
-              "rates on both modes; use full_truncated_steady for the "
-              "asymmetric case")
-
-
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_hierarchy_sweep_keeps_asymmetric_rows_apart(threads):
+    # delta_a runs away from delta_b = 0: every row but the first three is
+    # asymmetric, and each is its own point's value.
     base = SystemParams(coupling_j=3.0, eps_a=0.01, eps_b=0.005)
     config = SweepConfig(base=base, axis1=Axis("delta_a", 0.0, 1.0, 3),
                          axis2=Axis("phi", 0.0, 1.0, 3), solver="Hierarchy")
     rows = run_sweep(config, threads=threads)
-    assert [r.error for r in rows] == [""] * 3 + [ASYMMETRIC] * 6
-    for row in rows[:3]:
-        g2, mean_n = evaluate_point(apply_axis(base, "phi", row.axis2), "Hierarchy")
-        assert (row.delta, row.u, row.g2_a, row.mean_n_a) == (0.0, 0.0, g2, mean_n)
-    for row in rows[3:]:
-        assert math.isnan(row.delta) and math.isnan(row.u)
-        assert row.g2_a is None and row.mean_n_a is None
+    assert [r.error for r in rows] == [""] * 9
+    for row in rows:
+        params = apply_axis(base.replace(delta_a=row.axis1), "phi", row.axis2)
+        g2, mean_n = evaluate_point(params, "Hierarchy")
+        assert (row.delta, row.u, row.g2_a, row.mean_n_a) == (row.axis1, 0.0, g2, mean_n)
+    assert len({row.mean_n_a for row in rows}) == 9
+    assert run_sweep(config, threads=1) == rows
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -201,6 +198,12 @@ def test_axis_validation():
         Axis("u", 0.0, 1.0, 4, scale="log")
     with pytest.raises(ValueError):
         Axis("not_a_parameter", 0.0, 1.0, 4)
+
+
+def test_axis_stores_a_numpy_integer_count_as_int():
+    axis = Axis("phi", 0.0, 1.0, np.int64(3))
+    assert type(axis.count) is int
+    assert json.loads(json.dumps(axis.to_dict()))["count"] == 3
 
 
 def test_axis_values():
