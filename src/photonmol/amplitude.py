@@ -76,9 +76,14 @@ def _cmul(a, b):
 def _solve_stack(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """(B, n) solutions of a (B, n, n) stack against (B, n, 1) right-hand
     sides. Both systems are H - i Gamma/2 with H Hermitian and Gamma > 0
-    diagonal, regular however strong the Kerr terms, so only overflow is
-    checked: a row with any non-finite entry is all NaN."""
-    solutions = np.linalg.solve(matrices, rhs)[..., 0]
+    diagonal, regular however strong the Kerr terms, so overflow is checked
+    (a row with any non-finite entry is all NaN) and an exactly zero pivot,
+    left by rates that vanish in floating point, raises SolverError with
+    numpy's message, "Singular matrix", for the whole stack."""
+    try:
+        solutions = np.linalg.solve(matrices, rhs)[..., 0]
+    except np.linalg.LinAlgError as err:
+        raise SolverError(str(err)) from err
     solutions[~np.isfinite(solutions).all(axis=1)] = np.nan
     return solutions
 

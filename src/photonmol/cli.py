@@ -156,7 +156,7 @@ def cli_main(argv=None) -> int:
     except MemoryError as err:
         print(f"error: out of memory: {str(err) or 'allocation failed'}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as err:
+    except (ValueError, OSError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

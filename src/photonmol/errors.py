@@ -1,4 +1,5 @@
 import numbers
+from collections.abc import Mapping
 
 
 class SolverError(RuntimeError):
@@ -10,3 +11,28 @@ def check_int(value, minimum: int, name: str) -> None:
     """ValueError unless value is an integer (not a bool) of at least minimum."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+
+
+def check_number(value, name: str) -> float:
+    """value as a Python float; ValueError unless it is a real number (not a
+    bool, not a string) that fits a float."""
+    # float first: a float then skips the slower numbers.Real check.
+    if not isinstance(value, bool) and isinstance(value, (float, numbers.Real)):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{name} must be a number that fits a float, got {value!r}")
+
+
+def check_fields(data, what: str, allowed, required=()) -> None:
+    """ValueError unless data is a mapping whose keys are all in allowed and
+    include every name in required."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    unknown = set(data) - set(allowed)
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown, key=str)}")
+    missing = [name for name in required if name not in data]
+    if missing:
+        raise ValueError(f"{what} is missing fields: {missing}")

@@ -8,11 +8,12 @@ frequency, so only detunings appear.
 import functools
 import math
 import operator
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse
 
+from .errors import check_fields, check_number
 from .fock import HilbertSpec, mode_annihilators
 
 _TAU = 2.0 * math.pi
@@ -62,21 +63,13 @@ class SystemParams:
             raise ValueError("coupling strength must be non-negative")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # Python floats, so json.dumps takes a field given as a numpy scalar.
+        return dict(zip(PARAM_FIELDS, map(float, _param_values(self))))
 
     @classmethod
-    def from_dict(cls, data: dict) -> "SystemParams":
-        if not isinstance(data, dict):
-            raise ValueError(f"parameters must be a JSON object, got "
-                             f"{type(data).__name__}")
-        unknown = set(data) - set(PARAM_FIELDS)
-        if unknown:
-            raise ValueError(f"unknown parameter fields: {sorted(unknown)}")
-        try:
-            values = {k: float(v) for k, v in data.items()}
-        except (TypeError, ValueError, OverflowError) as err:
-            raise ValueError(f"parameter values must be numbers: {err}") from None
-        return cls(**values)
+    def from_dict(cls, data) -> "SystemParams":
+        check_fields(data, "parameter", PARAM_FIELDS)
+        return cls(**{name: check_number(value, name) for name, value in data.items()})
 
     def replace(self, **changes) -> "SystemParams":
         return replace(self, **changes)

@@ -276,7 +276,7 @@ def numeric_optimum(
                                   eps_a=eps_a, kappa=kappa)
         try:
             g2, _ = evaluate_point(params, solver, n_max=n_max)
-        except (SolverError, np.linalg.LinAlgError):
+        except SolverError:
             return math.inf
         if g2 is None or not math.isfinite(g2):
             return math.inf

@@ -28,7 +28,7 @@ from .amplitude import (
     hierarchy_steady,
     mean_photon_approx,
 )
-from .errors import SolverError, check_int
+from .errors import SolverError, check_fields, check_int
 from .fock import HilbertSpec
 # liouvillian and steady_state are not called here. They stay importable from
 # this module because perfbench's tracer looks them up here.
@@ -54,12 +54,11 @@ GRID_CHUNK = 1024
 
 
 def normalize_solver(name: str) -> str:
-    try:
-        return _CANONICAL[name.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown solver {name!r}; expected one of {', '.join(SOLVERS)}"
-        ) from None
+    """The solver id that name spells in any case; ValueError for anything else."""
+    canonical = _CANONICAL.get(name.lower()) if isinstance(name, str) else None
+    if canonical is None:
+        raise ValueError(f"unknown solver {name!r}; expected one of {', '.join(SOLVERS)}")
+    return canonical
 
 
 def evaluate_point(
@@ -103,9 +102,7 @@ def evaluate_grid(points: Mapping[str, object], solver: str, n_max: int = DEFAUL
     solver = normalize_solver(solver)
     check_int(threads, 1, "threads")
     HilbertSpec(n_max, n_max)  # a bad cutoff fails the call, not each point
-    unknown = set(points) - set(PARAM_FIELDS)
-    if unknown:
-        raise ValueError(f"unknown parameter fields: {sorted(unknown)}")
+    check_fields(points, "parameter", PARAM_FIELDS)
     defaults = SystemParams()
     fields = np.broadcast_arrays(*(
         np.asarray(points.get(name, getattr(defaults, name)), dtype=float)
@@ -132,7 +129,7 @@ def evaluate_grid(points: Mapping[str, object], solver: str, n_max: int = DEFAUL
                 with np.errstate(all="ignore"):  # non-finite points are redone below
                     g2[chunk], mean_n[chunk] = stacked(SimpleNamespace(**{
                         name: column[chunk] for name, column in zip(PARAM_FIELDS, columns)}))
-            except np.linalg.LinAlgError:
+            except SolverError:
                 pass  # an exactly singular matrix
             else:
                 pending = pending.start + np.flatnonzero(~np.isfinite(g2[chunk] + mean_n[chunk]))
@@ -142,7 +139,7 @@ def evaluate_grid(points: Mapping[str, object], solver: str, n_max: int = DEFAUL
                                      for name, column in zip(PARAM_FIELDS, columns)})
             try:
                 g2_i, mean_n[i] = evaluate_point(params, solver, n_max)
-            except (SolverError, np.linalg.LinAlgError, ValueError) as err:
+            except SolverError as err:
                 g2_i, mean_n[i], error[i] = None, math.nan, str(err)
             g2[i] = math.nan if g2_i is None else g2_i
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._version import __version__
-from .errors import SolverError, check_int
+from .errors import SolverError, check_fields, check_int, check_number
 from .fock import HilbertSpec
 from .model import DERIVED_AXES, PARAM_FIELDS, SystemParams, apply_axis, drive_ratios
 from .optimal import OptimalPoint, dual_drive_optimum_asymptotic, single_drive_optimum
@@ -64,8 +64,12 @@ class Axis:
 
     def __post_init__(self):
         check_int(self.count, 2, "axis count")
-        # json.dumps writes a Python int, not a numpy one.
-        object.__setattr__(self, "count", int(self.count))
+        bounds = check_number(self.min, "axis min"), check_number(self.max, "axis max")
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError(f"axis min and max must be finite, got {bounds}")
+        # Python numbers, so json.dumps takes bounds and count given as numpy scalars.
+        for name, value in zip(("min", "max", "count"), (*bounds, int(self.count))):
+            object.__setattr__(self, name, value)
         if self.scale not in ("linear", "log"):
             raise ValueError(f"axis scale must be 'linear' or 'log', got {self.scale!r}")
         if self.scale == "log" and min(self.min, self.max) <= 0:
@@ -75,23 +79,9 @@ class Axis:
             raise ValueError(f"unknown axis parameter {self.parameter!r}")
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Axis":
-        if not isinstance(data, dict):
-            raise ValueError(f"axis must be a JSON object, got {type(data).__name__}")
-        unknown = set(data) - set(_AXIS_FIELDS)
-        if unknown:
-            raise ValueError(f"unknown axis fields: {sorted(unknown)}")
-        missing = [name for name in _AXIS_REQUIRED if name not in data]
-        if missing:
-            raise ValueError(f"axis is missing fields: {missing}")
-        try:
-            bounds = float(data["min"]), float(data["max"])
-        except (TypeError, ValueError, OverflowError) as err:
-            raise ValueError(f"axis min and max must be numbers: {err}") from None
-        if not all(map(math.isfinite, bounds)):
-            raise ValueError(f"axis min and max must be finite, got {bounds}")
-        return cls(parameter=data["parameter"], min=bounds[0], max=bounds[1],
-                   count=data["count"], scale=data.get("scale", "linear"))
+    def from_dict(cls, data) -> "Axis":
+        check_fields(data, "axis", _AXIS_FIELDS, _AXIS_REQUIRED)
+        return cls(**data)
 
     def values(self) -> np.ndarray:
         if self.scale == "log":
@@ -117,23 +107,13 @@ class SweepConfig:
             parse_constraint(rule)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "SweepConfig":
+    def from_dict(cls, data) -> "SweepConfig":
         """Build a config from parsed JSON; malformed input raises ValueError."""
-        if not isinstance(data, dict):
-            raise ValueError(f"sweep config must be a JSON object, got "
-                             f"{type(data).__name__}")
-        unknown = set(data) - set(_CONFIG_FIELDS)
-        if unknown:
-            raise ValueError(f"unknown sweep config fields: {sorted(unknown)}")
-        missing = [name for name in _CONFIG_REQUIRED if name not in data]
-        if missing:
-            raise ValueError(f"sweep config is missing fields: {missing}")
+        check_fields(data, "sweep config", _CONFIG_FIELDS, _CONFIG_REQUIRED)
         constraints = data.get("constraints", [])
         if not isinstance(constraints, (list, tuple)) or not all(
                 isinstance(rule, str) for rule in constraints):
             raise ValueError("constraints must be a list of strings")
-        if not isinstance(data["solver"], str):
-            raise ValueError(f"solver must be a string, got {data['solver']!r}")
         return cls(
             base=SystemParams.from_dict(data.get("base", {})),
             axis1=Axis.from_dict(data["axis1"]),
@@ -200,7 +180,7 @@ def run_point(
     HilbertSpec(n_max, n_max)  # a bad cutoff is a usage error, not a solver error
     try:
         g2, mean_n = evaluate_point(params, solver, n_max=n_max)
-    except (SolverError, np.linalg.LinAlgError, ValueError) as err:
+    except SolverError as err:
         raise SolverError(f"{err} [at params {params.to_dict()}]") from err
     return ResultRow(
         axis1=math.nan, axis2=math.nan,

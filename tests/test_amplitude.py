@@ -580,3 +580,15 @@ def test_grid_threads_agree_under_fast_switching():
     for want, got in zip(serial, threaded):
         assert np.array_equal(want, got, equal_nan=want.dtype != object)
     assert serial[2][GRID_CHUNK // 4] == "Singular matrix"
+
+
+@pytest.mark.parametrize("solve", [
+    full_truncated_steady,
+    lambda params: evaluate_point(params, SOLVER_FULL_TRUNCATED),
+], ids=["full_truncated_steady", "evaluate_point"])
+def test_exactly_singular_weak_drive_system_is_a_solver_error(solve):
+    # Undriven, uncoupled, vanishing rates: the 5x5 system has an exactly
+    # zero pivot, and numpy's message is kept.
+    with pytest.raises(SolverError) as raised:
+        solve(SystemParams(kappa_a=5e-324, kappa_b=5e-324))
+    assert str(raised.value) == "Singular matrix"

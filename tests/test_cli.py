@@ -253,6 +253,9 @@ def test_sweep_with_bad_config(tmp_path, capsys):
     {"axis1": {"parameter": "phi", "min": 0, "max": 1, "count": 2.5},
      "axis2": {"parameter": "eta", "min": 1, "max": 2, "count": 3},
      "solver": "Hierarchy"},
+    {"axis1": {"parameter": "phi", "min": "0", "max": 1, "count": 3},
+     "axis2": {"parameter": "eta", "min": 1, "max": 2, "count": 3},
+     "solver": "Hierarchy"},
 ])
 def test_sweep_with_malformed_config_is_one_line_usage_error(tmp_path, capsys,
                                                              config):
@@ -263,6 +266,19 @@ def test_sweep_with_malformed_config_is_one_line_usage_error(tmp_path, capsys,
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("text", [
+    '{"coupling_j": "10", "eps_a": 0.01}',
+    '{"coupling_j": 10, "eps_a": true}',
+    '{"coupling_j": 10,',
+])
+def test_point_with_malformed_params_is_one_line_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "params.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "point", "--params", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

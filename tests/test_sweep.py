@@ -11,6 +11,8 @@ from photonmol import (
     SolverError,
     SweepConfig,
     SystemParams,
+    evaluate_grid,
+    numeric_optimum,
     run_point,
     run_sweep,
     single_drive_optimum,
@@ -206,6 +208,30 @@ def test_axis_stores_a_numpy_integer_count_as_int():
     assert json.loads(json.dumps(axis.to_dict()))["count"] == 3
 
 
+@pytest.mark.parametrize("solver", [3, None])
+@pytest.mark.parametrize("call", [
+    lambda solver: evaluate_point(SystemParams(eps_a=0.01), solver),
+    lambda solver: evaluate_grid({"eps_a": 0.01}, solver),
+    lambda solver: numeric_optimum(1.0, 10.0, 3.0, 0.0, solver=solver),
+    lambda solver: linear_config(solver=solver),
+], ids=["evaluate_point", "evaluate_grid", "numeric_optimum", "SweepConfig"])
+def test_a_solver_that_is_not_a_string_is_a_value_error(call, solver):
+    with pytest.raises(ValueError, match="unknown solver"):
+        call(solver)
+
+
+@pytest.mark.parametrize("base, axis1", [
+    (SystemParams(coupling_j=np.float32(10.0), eps_a=0.01), Axis("eta", 1.5, 3.0, 2)),
+    (SystemParams(coupling_j=10.0, eps_a=0.01), Axis("eta", np.float32(1.5), 3.0, 2)),
+])
+def test_sidecar_takes_numpy_floats(tmp_path, base, axis1):
+    config = SweepConfig(base=base, axis1=axis1, axis2=Axis("phi", 0.0, 1.0, 2),
+                         solver="Hierarchy")
+    sweep_to_files(config, tmp_path / "x.csv")
+    meta = json.loads((tmp_path / "x.csv.meta.json").read_text())
+    assert SweepConfig.from_dict(meta["config"]) == config
+
+
 def test_axis_values():
     lin = Axis("delta", 0.0, 2.0, 5)
     assert np.allclose(lin.values(), [0.0, 0.5, 1.0, 1.5, 2.0])
@@ -287,6 +313,10 @@ VALID_CONFIG = {
     {"constraints": [1]},
     {"extra": 1},
     {"axis1": {**VALID_CONFIG["axis1"], "count": 3.0}},
+    {"base": {"eps_a": True}},
+    {"base": {"coupling_j": "10"}},
+    {"axis1": {**VALID_CONFIG["axis1"], "min": "0"}},
+    {"axis1": {**VALID_CONFIG["axis1"], "max": True}},
 ])
 def test_config_from_dict_rejects_malformed_input(change):
     SweepConfig.from_dict(VALID_CONFIG)
