@@ -51,6 +51,10 @@ class SystemParams:
     kappa_b: float = 1.0
 
     def __post_init__(self):
+        values = _param_values(self)
+        if {*map(type, values)} != {float}:  # all Python floats skip the checks
+            for name, value in zip(PARAM_FIELDS, values):
+                object.__setattr__(self, name, check_number(value, name))
         if not all(map(math.isfinite, _param_values(self))):
             bad = [f"{name}={getattr(self, name)}" for name in PARAM_FIELDS
                    if not math.isfinite(getattr(self, name))]
@@ -63,13 +67,12 @@ class SystemParams:
             raise ValueError("coupling strength must be non-negative")
 
     def to_dict(self) -> dict:
-        # Python floats, so json.dumps takes a field given as a numpy scalar.
-        return dict(zip(PARAM_FIELDS, map(float, _param_values(self))))
+        return dict(zip(PARAM_FIELDS, _param_values(self)))
 
     @classmethod
     def from_dict(cls, data) -> "SystemParams":
         check_fields(data, "parameter", PARAM_FIELDS)
-        return cls(**{name: check_number(value, name) for name, value in data.items()})
+        return cls(**data)
 
     def replace(self, **changes) -> "SystemParams":
         return replace(self, **changes)
@@ -126,6 +129,8 @@ def apply_axis(params: SystemParams, name: str, value: float) -> SystemParams:
         return params.replace(u_a=value, u_b=value)
     if name == "delta":
         return params.replace(delta_a=value, delta_b=value)
+    if name not in PARAM_FIELDS:
+        raise ValueError(f"unknown axis parameter {name!r}")
     return params.replace(**{name: value})
 
 

@@ -70,8 +70,8 @@ def evaluate_point(
     number). A weak-drive g2 or mean n that overflows raises SolverError.
     """
     solver = normalize_solver(solver)
+    spec = HilbertSpec(n_max, n_max)  # every solver refuses a bad cutoff
     if solver == SOLVER_MASTER_EQUATION:
-        spec = HilbertSpec(n_max, n_max)
         rho = hermitian_steady_state(*hermitian_liouvillian(params, spec))
         obs = observables(rho, spec)
         return obs.g2_a, obs.mean_n_a
@@ -88,11 +88,13 @@ def evaluate_grid(points: Mapping[str, object], solver: str, n_max: int = DEFAUL
                   threads: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(g2_a, mean_n_a, error) arrays over a grid of parameter points.
 
-    points maps SystemParams field names to scalars or arrays that
-    broadcast together; omitted fields take SystemParams' defaults, and
-    every point is checked as SystemParams checks it. error holds the
-    message of what evaluate_point would raise at a point, "" elsewhere;
-    g2 is NaN there and where evaluate_point returns None, mean n there.
+    points maps SystemParams field names to integer or float scalars or
+    arrays that broadcast together; omitted fields take SystemParams'
+    defaults. A bool, string, complex or object value is refused, naming
+    its field, and every point is checked as SystemParams checks it. error
+    holds the message of what evaluate_point would raise at a point, ""
+    elsewhere; g2 is NaN there and where evaluate_point returns None, mean
+    n there.
 
     threads workers share chunks of at most GRID_CHUNK points. The
     weak-drive solvers solve a chunk as a stack; MasterEquation points,
@@ -104,10 +106,11 @@ def evaluate_grid(points: Mapping[str, object], solver: str, n_max: int = DEFAUL
     HilbertSpec(n_max, n_max)  # a bad cutoff fails the call, not each point
     check_fields(points, "parameter", PARAM_FIELDS)
     defaults = SystemParams()
-    fields = np.broadcast_arrays(*(
-        np.asarray(points.get(name, getattr(defaults, name)), dtype=float)
-        for name in PARAM_FIELDS
-    ))
+    arrays = [np.asarray(points.get(name, getattr(defaults, name))) for name in PARAM_FIELDS]
+    for name, values in zip(PARAM_FIELDS, arrays):
+        if values.dtype.kind not in "iuf":
+            raise ValueError(f"{name} must be numbers that fit a float, got {values.dtype}")
+    fields = np.broadcast_arrays(*(values.astype(float, copy=False) for values in arrays))
     shape, size = fields[0].shape, fields[0].size
     g2, mean_n = np.full(size, np.nan), np.full(size, np.nan)
     error = np.full(size, "", dtype=object)
@@ -116,8 +119,7 @@ def evaluate_grid(points: Mapping[str, object], solver: str, n_max: int = DEFAUL
     # SystemParams bounds each field on its own, so a grid is valid when
     # every field's smallest and largest values are.
     for extreme in (np.min, np.max):
-        SystemParams(**{name: float(extreme(values))
-                        for name, values in zip(PARAM_FIELDS, fields)})
+        SystemParams(**{name: extreme(values) for name, values in zip(PARAM_FIELDS, fields)})
     columns = [values.ravel() for values in fields]
     stacked = {SOLVER_HIERARCHY: hierarchy_grid,
                SOLVER_FULL_TRUNCATED: full_truncated_grid}.get(solver)
@@ -134,8 +136,7 @@ def evaluate_grid(points: Mapping[str, object], solver: str, n_max: int = DEFAUL
             else:
                 pending = pending.start + np.flatnonzero(~np.isfinite(g2[chunk] + mean_n[chunk]))
         for i in pending:
-            # Python floats, so the point computes as a hand-built SystemParams.
-            params = SystemParams(**{name: column[i].item()
+            params = SystemParams(**{name: column[i]
                                      for name, column in zip(PARAM_FIELDS, columns)})
             try:
                 g2_i, mean_n[i] = evaluate_point(params, solver, n_max)

@@ -15,13 +15,12 @@ is the package's one CSV writer; write_rows_csv feeds it sweep rows.
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._version import __version__
 from .errors import SolverError, check_fields, check_int, check_number
-from .fock import HilbertSpec
 from .model import DERIVED_AXES, PARAM_FIELDS, SystemParams, apply_axis, drive_ratios
 from .optimal import OptimalPoint, dual_drive_optimum_asymptotic, single_drive_optimum
 from .solvers import DEFAULT_N_MAX, evaluate_grid, evaluate_point, normalize_solver
@@ -99,10 +98,14 @@ class SweepConfig:
     axis1: Axis
     axis2: Axis
     solver: str
-    constraints: tuple[str, ...] = field(default_factory=tuple)
+    constraints: tuple[str, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "solver", normalize_solver(self.solver))
+        if not isinstance(self.constraints, (list, tuple)) or not all(
+                isinstance(rule, str) for rule in self.constraints):
+            raise ValueError(f"constraints must be a list of strings, got {self.constraints!r}")
+        object.__setattr__(self, "constraints", tuple(self.constraints))
         for rule in self.constraints:
             parse_constraint(rule)
 
@@ -110,16 +113,12 @@ class SweepConfig:
     def from_dict(cls, data) -> "SweepConfig":
         """Build a config from parsed JSON; malformed input raises ValueError."""
         check_fields(data, "sweep config", _CONFIG_FIELDS, _CONFIG_REQUIRED)
-        constraints = data.get("constraints", [])
-        if not isinstance(constraints, (list, tuple)) or not all(
-                isinstance(rule, str) for rule in constraints):
-            raise ValueError("constraints must be a list of strings")
         return cls(
             base=SystemParams.from_dict(data.get("base", {})),
             axis1=Axis.from_dict(data["axis1"]),
             axis2=Axis.from_dict(data["axis2"]),
             solver=data["solver"],
-            constraints=tuple(constraints),
+            constraints=data.get("constraints", ()),
         )
 
     def to_dict(self) -> dict:
@@ -177,7 +176,6 @@ def run_point(
 ) -> ResultRow:
     """Evaluate one parameter point; solver errors carry the point context."""
     solver = normalize_solver(solver)
-    HilbertSpec(n_max, n_max)  # a bad cutoff is a usage error, not a solver error
     try:
         g2, mean_n = evaluate_point(params, solver, n_max=n_max)
     except SolverError as err:

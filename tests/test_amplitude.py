@@ -518,6 +518,27 @@ def test_grid_rejects_what_system_params_rejects(points):
         evaluate_grid(points, "FullTruncated")
 
 
+@pytest.mark.parametrize("points, field", [
+    ({"eps_a": "0.01", "coupling_j": 3.0}, "eps_a"),
+    ({"eps_a": 0.01, "coupling_j": True}, "coupling_j"),
+    ({"eps_a": np.array([0.01, 0.02]), "u_a": np.array([True, False])}, "u_a"),
+    ({"eps_a": np.array([0.01 + 1j, 0.02])}, "eps_a"),
+    ({"eps_a": [0.01, None]}, "eps_a"),
+    ({"eps_a": [0.01, "0.02"]}, "eps_a"),
+])
+def test_grid_refuses_a_field_that_is_not_numbers(points, field):
+    with pytest.raises(ValueError, match=f"^{field} must be numbers"):
+        evaluate_grid(points, "FullTruncated")
+
+
+def test_grid_takes_integer_arrays_as_floats():
+    points = {"coupling_j": np.array([3, 4]), "eps_a": 0.01, "delta_a": 1}
+    as_floats = {name: np.asarray(values, dtype=float) for name, values in points.items()}
+    for got, want in zip(evaluate_grid(points, "Hierarchy"),
+                         evaluate_grid(as_floats, "Hierarchy")):
+        assert np.array_equal(got, want)
+
+
 def test_grid_hierarchy_solves_asymmetric_points():
     points = {"delta_a": np.array([0.0, 1.0]), "delta_b": 0.0,
               "coupling_j": 3.0, "u_a": 0.05, "eps_a": 0.01}

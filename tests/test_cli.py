@@ -256,6 +256,9 @@ def test_sweep_with_bad_config(tmp_path, capsys):
     {"axis1": {"parameter": "phi", "min": "0", "max": 1, "count": 3},
      "axis2": {"parameter": "eta", "min": 1, "max": 2, "count": 3},
      "solver": "Hierarchy"},
+    {"axis1": {"parameter": "phi", "min": 0, "max": 1, "count": 3},
+     "axis2": {"parameter": "eta", "min": 1, "max": 2, "count": 3},
+     "solver": "Hierarchy", "constraints": "u := dual_drive_u"},
 ])
 def test_sweep_with_malformed_config_is_one_line_usage_error(tmp_path, capsys,
                                                              config):
@@ -272,6 +275,7 @@ def test_sweep_with_malformed_config_is_one_line_usage_error(tmp_path, capsys,
     '{"coupling_j": "10", "eps_a": 0.01}',
     '{"coupling_j": 10, "eps_a": true}',
     '{"coupling_j": 10,',
+    '{"coupling_j": 10, "eps_a": null}',
 ])
 def test_point_with_malformed_params_is_one_line_usage_error(tmp_path, capsys, text):
     path = tmp_path / "params.json"

@@ -59,6 +59,26 @@ def test_params_validation():
         SystemParams(coupling_j=-1.0)
 
 
+@pytest.mark.parametrize("build, field", [
+    (lambda: SystemParams(eps_a="0.01"), "eps_a"),
+    (lambda: SystemParams(eps_a=True), "eps_a"),
+    (lambda: SystemParams(u_a=0.1 + 0j), "u_a"),
+    (lambda: SystemParams(kappa_b=None), "kappa_b"),
+    (lambda: SystemParams(coupling_j=10**400), "coupling_j"),
+    (lambda: symmetric_params("10"), "coupling_j"),
+    (lambda: SystemParams().replace(phi_a="0.5"), "phi_a"),
+], ids=["str", "bool", "complex", "None", "too-large-int", "symmetric_params", "replace"])
+def test_params_refuse_a_value_that_is_not_a_number(build, field):
+    with pytest.raises(ValueError, match=f"^{field} must be a number"):
+        build()
+
+
+@pytest.mark.parametrize("value", [np.float32(0.5), np.float64(0.5), np.int64(3), 3])
+def test_params_store_python_floats(value):
+    params = SystemParams(coupling_j=value)
+    assert type(params.coupling_j) is float and params.coupling_j == float(value)
+
+
 def test_params_dict_round_trip():
     params = SystemParams(delta_a=1.5, coupling_j=10.0, eps_a=0.01, phi_b=0.3)
     assert SystemParams.from_dict(params.to_dict()) == params

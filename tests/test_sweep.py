@@ -20,7 +20,8 @@ from photonmol import (
     sweep_to_files,
 )
 from photonmol.solvers import evaluate_point
-from photonmol.sweep import apply_axis, apply_constraints, parse_constraint
+from photonmol.model import PARAM_FIELDS
+from photonmol.sweep import apply_axis, apply_constraints, parse_constraint, sweep_rows
 
 SQRT3 = math.sqrt(3.0)
 
@@ -77,6 +78,14 @@ def test_rows_record_mode_a_parameters():
 def test_run_point_rejects_bad_cutoff_before_solving():
     with pytest.raises(ValueError, match="cutoff"):
         run_point(SystemParams(eps_a=0.01), "MasterEquation", n_max=-1)
+
+
+@pytest.mark.parametrize("solver", ["MasterEquation", "Hierarchy", "FullTruncated"])
+@pytest.mark.parametrize("evaluate", [evaluate_point, run_point])
+@pytest.mark.parametrize("n_max", [-1, 2.0, True])
+def test_every_solver_refuses_a_bad_cutoff(solver, evaluate, n_max):
+    with pytest.raises(ValueError, match="cutoff"):
+        evaluate(SystemParams(eps_a=0.01), solver, n_max=n_max)
 
 
 def test_trivial_sweep_rows():
@@ -251,6 +260,10 @@ def test_apply_axis_semantics():
     assert apply_axis(base, "kappa_b", 2.0).kappa_b == 2.0
     with pytest.raises(ValueError):
         apply_axis(base, "eta", 0.0)
+    with pytest.raises(ValueError, match="bogus"):
+        apply_axis(base, "bogus", 1.0)
+    rows = sweep_rows(base, ("bogus", [1.0]), ("phi", [0.0, 0.5]), (), "Hierarchy")
+    assert [row.error for row in rows] == ["unknown axis parameter 'bogus'"] * 2
 
 
 def test_constraint_parsing():
@@ -324,6 +337,20 @@ def test_config_from_dict_rejects_malformed_input(change):
         SweepConfig.from_dict({**VALID_CONFIG, **change})
 
 
+@pytest.mark.parametrize("constraints", [[1], "u := dual_drive_u", None, ["u := dual_drive_u", 2]])
+def test_config_rejects_constraints_that_are_not_a_list_of_strings(constraints):
+    config = linear_config()
+    with pytest.raises(ValueError, match="^constraints must be a list of strings"):
+        SweepConfig(config.base, config.axis1, config.axis2, config.solver, constraints)
+
+
+def test_config_stores_constraints_as_a_tuple():
+    config = linear_config()
+    built = SweepConfig(config.base, config.axis1, config.axis2, config.solver,
+                        ["u := dual_drive_u"])
+    assert built.constraints == ("u := dual_drive_u",)
+
+
 @pytest.mark.parametrize("count", [1, 2.5, 3.0, "3", True, None])
 def test_axis_rejects_a_count_that_is_not_an_integer_of_at_least_two(count):
     with pytest.raises(ValueError, match="count"):
@@ -367,3 +394,20 @@ def test_config_from_dict_raises_only_value_error(section, key, value):
         SweepConfig.from_dict(data)
     except ValueError:
         pass
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(field=st.sampled_from(PARAM_FIELDS), value=json_values)
+def test_constructors_raise_only_value_error(field, value):
+    config = linear_config()
+    calls = (
+        lambda: SystemParams(**{field: value}),
+        lambda: evaluate_grid({field: value}, "Hierarchy"),
+        lambda: SweepConfig(config.base, config.axis1, config.axis2, config.solver,
+                            constraints=value),
+    )
+    for call in calls:
+        try:
+            call()
+        except ValueError:
+            pass
