@@ -1,6 +1,8 @@
 import numbers
 from collections.abc import Mapping
 
+import numpy as np
+
 
 class SolverError(RuntimeError):
     """Raised when a numerical solve fails (singular/ill-conditioned system,
@@ -23,6 +25,21 @@ def check_number(value, name: str) -> float:
         except OverflowError:
             pass
     raise ValueError(f"{name} must be a number that fits a float, got {value!r}")
+
+
+def check_numbers(values, name: str) -> np.ndarray:
+    """values as a float array; ValueError unless it is a number or an
+    array or (nested) list or tuple of numbers that fit a float: integers
+    or floats, none of them a bool, a string or complex."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":
+        got = array.dtype
+    elif isinstance(values, (list, tuple)) and any(
+            isinstance(value, (bool, np.bool_)) for value in np.asarray(values, dtype=object).flat):
+        got = "a bool"  # numpy reads [0.01, True] as floats and [True, 1] as integers
+    else:
+        return array.astype(float, copy=False)
+    raise ValueError(f"{name} must be numbers that fit a float, got {got}")
 
 
 def check_fields(data, what: str, allowed, required=()) -> None:

@@ -249,9 +249,11 @@ def _liouvillian_table(spec: HilbertSpec) -> tuple[np.ndarray, scipy.sparse.csr_
     return positions, table
 
 
-def _liouvillian_coefficients(params: SystemParams) -> np.ndarray:
+def _liouvillian_coefficients(params) -> np.ndarray:
     """Real coefficients of the generators of _liouvillian_table(), in its
-    order: each drive eps e^{i phi} enters by its real and imaginary parts."""
+    order: each drive eps e^{i phi} enters by its real and imaginary parts.
+    Given a grid's field columns (see hermitian_entries()), each column of
+    the result belongs to one point."""
     drive_a = params.eps_a * np.exp(1j * params.phi_a)
     drive_b = params.eps_b * np.exp(1j * params.phi_b)
     return np.array([
@@ -338,17 +340,31 @@ def _hermitian_table(spec: HilbertSpec) -> tuple[np.ndarray, scipy.sparse.csr_ar
     return real_positions, real_table
 
 
+def hermitian_entries(params, spec: HilbertSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """hermitian_liouvillian() as its nonzero entries: the column-major flat
+    indices of the real generator's structurally nonzero entries, the
+    generator's values there, and max |L| over the complex generator's
+    entries, which scales the steady-state residual tolerance.
+
+    params is a SystemParams, or any object whose PARAM_FIELDS attributes
+    are equal-length arrays (a grid's field columns); then values holds one
+    column and the scale one entry per point. One sparse product per cached
+    table; the indices are the table's own, shared and read-only.
+    """
+    coefficients = _liouvillian_coefficients(params)
+    positions, table = _hermitian_table(spec)
+    entries = _liouvillian_table(spec)[1] @ coefficients
+    return positions, table @ coefficients, np.max(np.abs(entries), axis=0, initial=0.0)
+
+
 def hermitian_liouvillian(params: SystemParams, spec: HilbertSpec) -> tuple[np.ndarray, float]:
     """The generator in the real coordinates of hermitian_maps(), as a fresh
     real (d^2 x d^2) column-major array assembled from the cached real
     table, and max |L| over the entries of the complex generator, which
     scales the steady-state residual tolerance. No dense complex generator
     is built."""
-    positions, table = _hermitian_table(spec)
-    coefficients = _liouvillian_coefficients(params)
+    positions, values, scale = hermitian_entries(params, spec)
     size = spec.dim**2
     liouv = np.zeros(size * size)
-    liouv[positions] = table @ coefficients
-    entries = _liouvillian_table(spec)[1] @ coefficients
-    return (liouv.reshape((size, size), order="F"),
-            float(np.max(np.abs(entries), initial=0.0)))
+    liouv[positions] = values
+    return liouv.reshape((size, size), order="F"), float(scale)

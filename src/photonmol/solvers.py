@@ -28,12 +28,12 @@ from .amplitude import (
     hierarchy_steady,
     mean_photon_approx,
 )
-from .errors import SolverError, check_fields, check_int
+from .errors import SolverError, check_fields, check_int, check_numbers
 from .fock import HilbertSpec
-# liouvillian and steady_state are not called here. They stay importable from
-# this module because perfbench's tracer looks them up here.
-from .lindblad import hermitian_steady_state, observables, steady_state  # noqa: F401
-from .model import PARAM_FIELDS, SystemParams, hermitian_liouvillian, liouvillian  # noqa: F401
+# liouvillian, observables and steady_state are not called here. They stay
+# importable from this module because perfbench's tracer looks them up here.
+from .lindblad import master_equation_grid, observables, steady_state  # noqa: F401
+from .model import PARAM_FIELDS, SystemParams, liouvillian  # noqa: F401
 
 SOLVER_MASTER_EQUATION = "MasterEquation"
 SOLVER_HIERARCHY = "Hierarchy"
@@ -71,10 +71,12 @@ def evaluate_point(
     """
     solver = normalize_solver(solver)
     spec = HilbertSpec(n_max, n_max)  # every solver refuses a bad cutoff
-    if solver == SOLVER_MASTER_EQUATION:
-        rho = hermitian_steady_state(*hermitian_liouvillian(params, spec))
-        obs = observables(rho, spec)
-        return obs.g2_a, obs.mean_n_a
+    if solver == SOLVER_MASTER_EQUATION:  # a grid of one point
+        g2, mean_n, error = master_equation_grid(SimpleNamespace(**{
+            name: np.array([value]) for name, value in params.to_dict().items()}), spec)
+        if error[0]:
+            raise SolverError(error[0])
+        return None if math.isnan(g2[0]) else float(g2[0]), float(mean_n[0])
     with np.errstate(all="ignore"):  # overflow yields inf or NaN, flagged below
         amps = hierarchy_steady(params) if solver == SOLVER_HIERARCHY \
             else full_truncated_steady(params)
@@ -96,21 +98,18 @@ def evaluate_grid(points: Mapping[str, object], solver: str, n_max: int = DEFAUL
     elsewhere; g2 is NaN there and where evaluate_point returns None, mean
     n there.
 
-    threads workers share chunks of at most GRID_CHUNK points. The
-    weak-drive solvers solve a chunk as a stack; MasterEquation points,
-    non-finite stacked results and exactly singular chunks go through
+    threads workers share chunks of at most GRID_CHUNK points. Each solver
+    solves a chunk in one call: master_equation_grid, or the weak-drive
+    stacks, whose non-finite results and exactly singular chunks go through
     evaluate_point one by one. The values do not depend on threads.
     """
     solver = normalize_solver(solver)
     check_int(threads, 1, "threads")
-    HilbertSpec(n_max, n_max)  # a bad cutoff fails the call, not each point
+    spec = HilbertSpec(n_max, n_max)  # a bad cutoff fails the call, not each point
     check_fields(points, "parameter", PARAM_FIELDS)
     defaults = SystemParams()
-    arrays = [np.asarray(points.get(name, getattr(defaults, name))) for name in PARAM_FIELDS]
-    for name, values in zip(PARAM_FIELDS, arrays):
-        if values.dtype.kind not in "iuf":
-            raise ValueError(f"{name} must be numbers that fit a float, got {values.dtype}")
-    fields = np.broadcast_arrays(*(values.astype(float, copy=False) for values in arrays))
+    fields = np.broadcast_arrays(*(check_numbers(points.get(name, getattr(defaults, name)), name)
+                                   for name in PARAM_FIELDS))
     shape, size = fields[0].shape, fields[0].size
     g2, mean_n = np.full(size, np.nan), np.full(size, np.nan)
     error = np.full(size, "", dtype=object)
@@ -125,16 +124,19 @@ def evaluate_grid(points: Mapping[str, object], solver: str, n_max: int = DEFAUL
                SOLVER_FULL_TRUNCATED: full_truncated_grid}.get(solver)
 
     def evaluate(chunk: slice) -> None:
+        chunk_params = SimpleNamespace(**{name: column[chunk]
+                                          for name, column in zip(PARAM_FIELDS, columns)})
+        if solver == SOLVER_MASTER_EQUATION:
+            g2[chunk], mean_n[chunk], error[chunk] = master_equation_grid(chunk_params, spec)
+            return
         pending = range(size)[chunk]
-        if stacked is not None:
-            try:
-                with np.errstate(all="ignore"):  # non-finite points are redone below
-                    g2[chunk], mean_n[chunk] = stacked(SimpleNamespace(**{
-                        name: column[chunk] for name, column in zip(PARAM_FIELDS, columns)}))
-            except SolverError:
-                pass  # an exactly singular matrix
-            else:
-                pending = pending.start + np.flatnonzero(~np.isfinite(g2[chunk] + mean_n[chunk]))
+        try:
+            with np.errstate(all="ignore"):  # non-finite points are redone below
+                g2[chunk], mean_n[chunk] = stacked(chunk_params)
+        except SolverError:
+            pass  # an exactly singular matrix
+        else:
+            pending = pending.start + np.flatnonzero(~np.isfinite(g2[chunk] + mean_n[chunk]))
         for i in pending:
             params = SystemParams(**{name: column[i]
                                      for name, column in zip(PARAM_FIELDS, columns)})

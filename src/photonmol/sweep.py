@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._version import __version__
-from .errors import SolverError, check_fields, check_int, check_number
+from .errors import SolverError, check_fields, check_int, check_number, check_numbers
 from .model import DERIVED_AXES, PARAM_FIELDS, SystemParams, apply_axis, drive_ratios
 from .optimal import OptimalPoint, dual_drive_optimum_asymptotic, single_drive_optimum
 from .solvers import DEFAULT_N_MAX, evaluate_grid, evaluate_point, normalize_solver
@@ -101,6 +101,10 @@ class SweepConfig:
     constraints: tuple[str, ...] = ()
 
     def __post_init__(self):
+        for name, kind in (("base", SystemParams), ("axis1", Axis), ("axis2", Axis)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"sweep config {name} must be a {kind.__name__}, "
+                                 f"got {type(getattr(self, name)).__name__}")
         object.__setattr__(self, "solver", normalize_solver(self.solver))
         if not isinstance(self.constraints, (list, tuple)) or not all(
                 isinstance(rule, str) for rule in self.constraints):
@@ -196,16 +200,19 @@ def sweep_rows(base: SystemParams, axis1, axis2, constraints, solver: str,
                threads: int = 1) -> list[ResultRow]:
     """Rows of a 2-D grid, axis1 outer, axis2 inner.
 
-    Each axis is a (parameter, values) pair. apply_axis sets the two values
-    on base, the constraint rules then set their targets, and the points
-    are one evaluate_grid call, so the rows do not depend on threads. Where
-    the axes or rules raise ValueError or the solver fails, the row keeps
-    the message in error and the sweep continues.
+    Each axis is a (parameter, values) pair; values that are not integers
+    or floats (a bool, a string) fail the call with a ValueError naming the
+    axis, as evaluate_grid's fields do. apply_axis sets the two values on
+    base, the constraint rules then set their targets, and the points are
+    one evaluate_grid call, so the rows do not depend on threads. Where the
+    axes or rules raise ValueError at a point or the solver fails, the row
+    keeps the message in error and the sweep continues.
     """
     (name1, values1), (name2, values2) = axis1, axis2
-    values2 = np.asarray(values2, dtype=float).tolist()
+    values1 = check_numbers(values1, f"{name1} axis values").tolist()
+    values2 = check_numbers(values2, f"{name2} axis values").tolist()
     rows, solved = [], []
-    for v1 in np.asarray(values1, dtype=float).tolist():
+    for v1 in values1:
         for v2 in values2:
             try:
                 params = apply_axis(apply_axis(base, name1, v1), name2, v2)

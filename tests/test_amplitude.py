@@ -525,6 +525,9 @@ def test_grid_rejects_what_system_params_rejects(points):
     ({"eps_a": np.array([0.01 + 1j, 0.02])}, "eps_a"),
     ({"eps_a": [0.01, None]}, "eps_a"),
     ({"eps_a": [0.01, "0.02"]}, "eps_a"),
+    ({"eps_a": [0.01, True], "coupling_j": 3.0}, "eps_a"),
+    ({"eps_a": 0.01, "coupling_j": (True, 1)}, "coupling_j"),
+    ({"eps_a": [[0.01], [np.True_]]}, "eps_a"),
 ])
 def test_grid_refuses_a_field_that_is_not_numbers(points, field):
     with pytest.raises(ValueError, match=f"^{field} must be numbers"):

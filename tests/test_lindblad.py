@@ -11,6 +11,7 @@ from photonmol import (
     SolverError,
     SystemParams,
     dual_drive_optimum_asymptotic,
+    evaluate_grid,
     evaluate_point,
     evolve,
     hierarchy_steady,
@@ -24,7 +25,14 @@ from photonmol import (
     validate_density_matrix,
     vec,
 )
-from photonmol.lindblad import _openblas_controls, _photon_numbers, _single_threaded_blas
+from photonmol import lindblad
+from photonmol.lindblad import (
+    _openblas_controls,
+    _photon_numbers,
+    _single_threaded_blas,
+    hermitian_steady_state,
+)
+from photonmol.model import PARAM_FIELDS, hermitian_liouvillian
 
 SPEC = HilbertSpec(3, 3)
 
@@ -72,18 +80,22 @@ def test_steady_state_rejects_a_large_residual(monkeypatch):
     # A solve that returns a perturbed vector leaves a residual far above
     # the tolerance; the gate must catch it rather than return the state.
     liouv = liouvillian(symmetric_params(10.0, delta=0.3, u=0.02, eta=3.0), SPEC)
-    exact_solve = scipy.linalg.lu_solve
+    exact_solve = lindblad._getrs
     noise = 1e-6 * np.random.default_rng(61).normal(size=SPEC.dim**2)
 
     def perturbed_solve(*args, **kwargs):
-        return exact_solve(*args, **kwargs) + noise
+        solution, info = exact_solve(*args, **kwargs)
+        return solution + noise, info
 
-    monkeypatch.setattr(scipy.linalg, "lu_solve", perturbed_solve)
+    monkeypatch.setattr(lindblad, "_getrs", perturbed_solve)
     with pytest.raises(SolverError, match="ill-conditioned"):
         steady_state(liouv)
-    with pytest.raises(SolverError, match="ill-conditioned"):
-        evaluate_point(symmetric_params(10.0, delta=0.3, u=0.02, eta=3.0),
-                       "MasterEquation")
+    params = symmetric_params(10.0, delta=0.3, u=0.02, eta=3.0)
+    with pytest.raises(SolverError, match="ill-conditioned") as raised:
+        evaluate_point(params, "MasterEquation")
+    _, _, error = evaluate_grid(
+        {name: [value, value] for name, value in params.to_dict().items()}, "MasterEquation")
+    assert error.tolist() == [str(raised.value)] * 2
 
 
 def complex_steady_state(liouv):
@@ -194,6 +206,61 @@ def test_exactly_singular_generator_is_reported_as_singular():
     params = SystemParams(kappa_a=5e-324, kappa_b=5e-324)
     with pytest.raises(SolverError, match="singular"):
         evaluate_point(params, "MasterEquation")
+
+
+def grid_columns(rows):
+    return {name: np.array([getattr(params, name) for params in rows]) for name in PARAM_FIELDS}
+
+
+@pytest.mark.parametrize("n_max", [2, 3, 4])
+def test_master_equation_grid_matches_points_bitwise(n_max):
+    # One table block and three points more, so threads=1 crosses a table
+    # block boundary and threads=2 a chunk boundary.
+    rows = list(asymmetric_dual_drive_points(89 + n_max, lindblad._TABLE_BLOCK + 3))
+    expected = [evaluate_point(params, "MasterEquation", n_max) for params in rows]
+    for threads in (1, 2):
+        g2, mean_n, error = evaluate_grid(grid_columns(rows), "MasterEquation",
+                                          n_max=n_max, threads=threads)
+        assert error.tolist() == [""] * len(rows)
+        assert list(zip(g2.tolist(), mean_n.tolist())) == expected
+
+
+@pytest.mark.parametrize("n_max", [2, 3, 4])
+def test_master_equation_point_reads_the_populations_of_the_dense_solve(n_max):
+    # The grid kernel reads the populations from the solution's diagonal
+    # coordinates, observables() from the density matrix: the same bits.
+    spec = HilbertSpec(n_max, n_max)
+    for params in asymmetric_dual_drive_points(97 + n_max, 6):
+        obs = observables(hermitian_steady_state(*hermitian_liouvillian(params, spec)), spec)
+        assert evaluate_point(params, "MasterEquation", n_max) == (obs.g2_a, obs.mean_n_a)
+
+
+# A grid's failing points and the messages they record, word for word.
+FAILING_POINTS = (
+    (SystemParams(kappa_a=5e-324, kappa_b=5e-324),
+     "steady-state system is singular: pivot 17 is exactly zero"),
+    (SystemParams(coupling_j=3.0, u_a=1e308, eps_a=0.01),
+     "steady-state system is singular: array must not contain infs or NaNs"),
+    (SystemParams(coupling_j=3.0, eps_a=1e160, delta_a=0.5, delta_b=0.5),
+     "steady-state solve overflowed: residual nan"),
+)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_master_equation_grid_records_failures_and_spares_the_neighbours(threads):
+    good = list(asymmetric_dual_drive_points(103, 4))
+    rows = [good[0], FAILING_POINTS[0][0], good[1], FAILING_POINTS[1][0], good[2],
+            FAILING_POINTS[2][0], good[3]]
+    g2, mean_n, error = evaluate_grid(grid_columns(rows), "MasterEquation", threads=threads)
+    assert error.tolist() == ["", FAILING_POINTS[0][1], "", FAILING_POINTS[1][1], "",
+                              FAILING_POINTS[2][1], ""]
+    assert np.isnan(g2[1::2]).all() and np.isnan(mean_n[1::2]).all()
+    assert list(zip(g2[::2].tolist(), mean_n[::2].tolist())) == [
+        evaluate_point(params, "MasterEquation") for params in good]
+    for params, message in FAILING_POINTS:
+        with pytest.raises(SolverError) as raised:
+            evaluate_point(params, "MasterEquation")
+        assert str(raised.value) == message
 
 
 def test_evolve_zero_generator_returns_state():

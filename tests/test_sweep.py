@@ -266,6 +266,40 @@ def test_apply_axis_semantics():
     assert [row.error for row in rows] == ["unknown axis parameter 'bogus'"] * 2
 
 
+@pytest.mark.parametrize("axis1, axis2, bad", [
+    (("phi", ["0.5"]), ("eta", [2.0]), "phi"),
+    (("phi", [0.5]), ("eta", [True]), "eta"),
+    (("phi", [0.5, np.True_]), ("eta", [2.0]), "phi"),
+    (("phi", np.array([0.5])), ("eta", np.array([1.0 + 1j])), "eta"),
+    (("phi", [0.5]), ("eta", [None]), "eta"),
+])
+def test_sweep_rows_refuses_axis_values_that_are_not_numbers(axis1, axis2, bad):
+    base = SystemParams(coupling_j=3.0, eps_a=0.01)
+    with pytest.raises(ValueError, match=f"^{bad} axis values must be numbers"):
+        sweep_rows(base, axis1, axis2, (), "Hierarchy")
+
+
+def test_sweep_rows_takes_integer_axis_values_as_floats():
+    base = SystemParams(coupling_j=3.0, eps_a=0.01)
+    as_ints = sweep_rows(base, ("phi", [0, 1]), ("eta", (2,)), (), "Hierarchy")
+    as_floats = sweep_rows(base, ("phi", [0.0, 1.0]), ("eta", [2.0]), (), "Hierarchy")
+    assert as_ints == as_floats
+    assert all(type(row.axis1) is float and type(row.axis2) is float for row in as_ints)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("base", {"eps_a": 0.01}),
+    ("axis1", {"parameter": "phi", "min": 0.0, "max": 1.0, "count": 2}),
+    ("axis2", ("phi", [0.0, 1.0])),
+])
+def test_sweep_config_refuses_fields_of_the_wrong_type(field, value):
+    config = linear_config(solver="Hierarchy")
+    fields = {"base": config.base, "axis1": config.axis1, "axis2": config.axis2}
+    fields[field] = value
+    with pytest.raises(ValueError, match=f"^sweep config {field} must be a"):
+        SweepConfig(**fields, solver="Hierarchy")
+
+
 def test_constraint_parsing():
     assert parse_constraint("u := dual_drive_u") == ("u", "dual_drive_u")
     with pytest.raises(ValueError):
