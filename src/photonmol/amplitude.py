@@ -12,8 +12,8 @@ amplitude fixed to one. Two solvers are provided:
   those feedback terms.
 
 Each solver builds its systems from parameter arrays and solves them as
-stacks: the scalar entry points solve a batch of one, and hierarchy_grid /
-full_truncated_grid solve many points at once for solvers.evaluate_grid.
+stacks. Its kernel, hierarchy_grid or full_truncated_grid, answers a batch
+of points (a SystemParams is one); the scalar entry points raise its messages.
 """
 
 from dataclasses import dataclass
@@ -73,27 +73,36 @@ def _cmul(a, b):
             + 1j * (a.real * b.imag + a.imag * b.real))
 
 
-def _solve_stack(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+# What a failed weak-drive point reports, besides numpy's "Singular matrix".
+_TWO_PHOTON, _TRUNCATED = "two-photon 3x3 system", "truncated-manifold 5x5 system"
+_OVERFLOW = "{} overflowed: its solution is not finite"
+_G2_OVERFLOW = "weak-drive g2 overflowed: |c10|^4 or |c20|^2 is not finite"
+
+
+def _solve_stack(matrices: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, dict]:
     """(B, n) solutions of a (B, n, n) stack against (B, n, 1) right-hand
-    sides. Both systems are H - i Gamma/2 with H Hermitian and Gamma > 0
-    diagonal, regular however strong the Kerr terms, so overflow is checked
-    (a row with any non-finite entry is all NaN) and an exactly zero pivot,
-    left by rates that vanish in floating point, raises SolverError with
-    numpy's message, "Singular matrix", for the whole stack."""
+    sides, and numpy's message by row of each exactly singular matrix (its
+    row is NaN). Both systems are H - i Gamma/2 with Gamma > 0 diagonal, so
+    only rates that vanish in floating point leave a zero pivot."""
     try:
-        solutions = np.linalg.solve(matrices, rhs)[..., 0]
-    except np.linalg.LinAlgError as err:
-        raise SolverError(str(err)) from err
-    solutions[~np.isfinite(solutions).all(axis=1)] = np.nan
-    return solutions
+        return np.linalg.solve(matrices, rhs)[..., 0], {}
+    except np.linalg.LinAlgError:  # solve matrix by matrix
+        solutions, singular = np.full(rhs.shape[:2], np.nan, dtype=complex), {}
+    for i, (matrix, b) in enumerate(zip(matrices, rhs)):
+        try:
+            solutions[i] = np.linalg.solve(matrix, b)[:, 0]
+        except np.linalg.LinAlgError as err:
+            singular[i] = str(err)
+    return solutions, singular
 
 
 def _solve_one(matrices: np.ndarray, rhs: np.ndarray, label: str) -> np.ndarray:
-    """Solution of a batch of one; SolverError when it is not finite."""
-    solution = _solve_stack(matrices, rhs)[0]
-    if np.isnan(solution[0]):
-        raise SolverError(f"{label} overflowed: its solution is not finite")
-    return solution
+    """Solution of a batch of one; SolverError with the kernels' message
+    when it fails."""
+    solutions, singular = _solve_stack(matrices, rhs)
+    if singular or not np.isfinite(solutions).all():
+        raise SolverError(singular.get(0, _OVERFLOW.format(label)))
+    return solutions[0]
 
 
 def _two_photon_system(params, c10, c01) -> tuple[np.ndarray, np.ndarray]:
@@ -163,9 +172,7 @@ def two_photon_amplitudes(
     Solves the 3x3 linear system of the two-photon manifold in the steady
     state; the one-photon amplitudes enter only as sources.
     """
-    c20, c11, c02 = _solve_one(*_two_photon_system(params, c10, c01),
-                               "two-photon 3x3 system")
-    return c20, c11, c02
+    return tuple(_solve_one(*_two_photon_system(params, c10, c01), _TWO_PHOTON))
 
 
 def hierarchy_steady(params: SystemParams) -> AmplitudeSet:
@@ -183,8 +190,7 @@ def full_truncated_steady(params: SystemParams) -> AmplitudeSet:
     equations. Unknowns are ordered (c10, c01, c20, c11, c02) with c00
     fixed to one.
     """
-    c10, c01, c20, c11, c02 = _solve_one(*_full_truncated_system(params),
-                                         "truncated-manifold 5x5 system")
+    c10, c01, c20, c11, c02 = _solve_one(*_full_truncated_system(params), _TRUNCATED)
     return AmplitudeSet(c00=1.0, c10=c10, c01=c01, c20=c20, c11=c11, c02=c02)
 
 
@@ -208,31 +214,46 @@ def mean_photon_approx(amps: AmplitudeSet) -> float:
     return abs(amps.c10) ** 2
 
 
-def hierarchy_grid(params) -> tuple[np.ndarray, np.ndarray]:
-    """Hierarchy (g2_a, mean_n_a) over a batch of points, given as an
-    object with SystemParams' field names holding 1-D arrays. g2 is NaN
-    where hierarchy_steady would raise and where g2 is undefined.
-    """
-    c10, c01 = one_photon_amplitudes(params)
-    solutions = _solve_stack(*_two_photon_system(params, c10, c01))
-    return _g2_and_mean(c10, solutions[:, 0])
+def hierarchy_grid(params) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Hierarchy kernel: (g2_a, mean_n_a, error) arrays at a
+    SystemParams, as a batch of one, or at points given as an object with
+    SystemParams' field names holding 1-D arrays. error holds what
+    hierarchy_steady raises at a point, or the g2 overflow, and ""
+    elsewhere; g2 is NaN there and where it is undefined, mean n there."""
+    with np.errstate(all="ignore"):  # overflow yields inf or NaN, recorded in error
+        c10, c01 = one_photon_amplitudes(params)
+        solutions, singular = _solve_stack(*_two_photon_system(params, c10, c01))
+        return _answers(np.array(c10, ndmin=1, copy=None),  # a scalar at a SystemParams
+                        solutions[:, 0], solutions, singular, _TWO_PHOTON)
 
 
-def full_truncated_grid(params) -> tuple[np.ndarray, np.ndarray]:
-    """FullTruncated (g2_a, mean_n_a) over a batch of points, given as for
-    hierarchy_grid. NaN where full_truncated_steady would raise; g2 also
-    NaN where it is undefined."""
-    solutions = _solve_stack(*_full_truncated_system(params))
-    return _g2_and_mean(solutions[:, 0], solutions[:, 2])
+def full_truncated_grid(params) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The FullTruncated kernel, as hierarchy_grid."""
+    with np.errstate(all="ignore"):  # overflow yields inf or NaN, recorded in error
+        solutions, singular = _solve_stack(*_full_truncated_system(params))
+        return _answers(solutions[:, 0], solutions[:, 2], solutions, singular, _TRUNCATED)
 
 
-def _g2_and_mean(c10: np.ndarray, c20: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """g2_approx and mean_photon_approx over amplitude arrays, with NaN for
-    an undefined g2. hypot and float_power call the same libm hypot and pow
-    as abs(c) ** 2 on a scalar, so each value equals the scalar one.
-    Overflow yields inf or NaN; evaluate_grid ignores the warnings."""
+def _answers(c10: np.ndarray, c20: np.ndarray, solutions: np.ndarray, singular: dict,
+             label: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A kernel's g2_approx, mean_photon_approx and messages. hypot and
+    float_power call libm's hypot and pow, as abs(c) ** 2 on a scalar does.
+    A point fails on a singular matrix, else on a non-finite solution, else
+    on a non-finite mean n or defined g2: each rule below overrides the last."""
     mean = np.float_power(np.hypot(c10.real, c10.imag), 2.0)
     denom = mean * mean
     g2 = 2.0 * np.float_power(np.hypot(c20.real, c20.imag), 2.0) / denom
-    g2[denom == 0.0] = np.nan
-    return g2, mean
+    error = np.full(len(g2), "", dtype=object)
+    # The common case, tested first; count_nonzero costs less than all() on one point.
+    if (np.count_nonzero(np.isfinite(solutions)) == solutions.size
+            and np.count_nonzero(np.isfinite(g2 + mean)) == len(g2)):
+        return g2, mean, error
+    undefined = denom == 0.0
+    error[~(np.isfinite(mean) & (np.isfinite(g2) | undefined))] = _G2_OVERFLOW
+    error[~np.isfinite(solutions).all(axis=1)] = _OVERFLOW.format(label)
+    for i, message in singular.items():
+        error[i] = message
+    failed = error != ""
+    g2[undefined | failed] = np.nan
+    mean[failed] = np.nan
+    return g2, mean, error

@@ -210,8 +210,8 @@ def _steady_coordinates(liouv_h: np.ndarray, work: np.ndarray, scale: float) -> 
 def master_equation_grid(params, spec: HilbertSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(g2_a, mean_n_a, error) arrays of the steady states at many points.
 
-    params is any object whose PARAM_FIELDS attributes are equal-length
-    arrays (a grid's field columns), checked as SystemParams checks them.
+    params is a SystemParams, or any object whose PARAM_FIELDS attributes are
+    equal-length arrays (a grid's field columns), checked as SystemParams does.
     error holds the SolverError message of a failed point, "" elsewhere; g2
     is NaN there and where the correlation is undefined, mean n there.
 
@@ -223,7 +223,8 @@ def master_equation_grid(params, spec: HilbertSpec) -> tuple[np.ndarray, np.ndar
     """
     dim = spec.dim
     size = dim * dim
-    count = len(params.delta_a)
+    columns = {name: np.atleast_1d(getattr(params, name)) for name in PARAM_FIELDS}
+    count = len(columns["delta_a"])
     g2, mean_n = np.full(count, np.nan), np.full(count, np.nan)
     error = np.full(count, "", dtype=object)
     flat = np.zeros(size * size)
@@ -238,7 +239,7 @@ def master_equation_grid(params, spec: HilbertSpec) -> tuple[np.ndarray, np.ndar
         for start in range(0, count, _TABLE_BLOCK):
             block = slice(start, start + _TABLE_BLOCK)
             positions, values, scales = hermitian_entries(SimpleNamespace(**{
-                name: getattr(params, name)[block] for name in PARAM_FIELDS}), spec)
+                name: column[block] for name, column in columns.items()}), spec)
             # Row 0 becomes the trace row, so its entries need not be finite.
             finite = np.isfinite(values[positions % size != 0]).all(axis=0)
             for i, point_values, scale, ok in zip(range(start, count), values.T,

@@ -8,30 +8,26 @@ Solver ids (as used in JSON configs and on the command line):
                     two-photon system,
 * "FullTruncated"   the full 5x5 steady amplitude system.
 
-evaluate_point answers one point. evaluate_grid is the one grid evaluator
+Each solver has one kernel, which answers a batch of points (_kernel).
+evaluate_point is a batch of one. evaluate_grid is the one grid evaluator
 (sweeps, figure recipes and the optimizer's coarse grid all call it) and
 the package's one thread pool: threads split a grid in chunks.
 """
 
 import math
+import os
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
 
-from .amplitude import (
-    full_truncated_grid,
-    full_truncated_steady,
-    g2_approx,
-    hierarchy_grid,
-    hierarchy_steady,
-    mean_photon_approx,
-)
+# Not called here, but perfbench's tracer looks these up here: the *_steady
+# functions, liouvillian, observables and steady_state.
+from .amplitude import (  # noqa: F401
+    full_truncated_grid, full_truncated_steady, hierarchy_grid, hierarchy_steady)
 from .errors import SolverError, check_fields, check_int, check_numbers
 from .fock import HilbertSpec
-# liouvillian, observables and steady_state are not called here. They stay
-# importable from this module because perfbench's tracer looks them up here.
 from .lindblad import master_equation_grid, observables, steady_state  # noqa: F401
 from .model import PARAM_FIELDS, SystemParams, liouvillian  # noqa: F401
 
@@ -61,29 +57,30 @@ def normalize_solver(name: str) -> str:
     return canonical
 
 
+def _kernel(solver: str, n_max: int):
+    """solver's kernel: a function of a SystemParams, or of a chunk's field
+    columns, returning (g2_a, mean_n_a, error) arrays. The one place the
+    cutoff becomes a space, so every solver refuses a bad cutoff."""
+    solver = normalize_solver(solver)
+    spec = HilbertSpec(n_max, n_max)
+    if solver == SOLVER_MASTER_EQUATION:
+        return lambda params: master_equation_grid(params, spec)
+    return hierarchy_grid if solver == SOLVER_HIERARCHY else full_truncated_grid
+
+
 def evaluate_point(
     params: SystemParams, solver: str, n_max: int = DEFAULT_N_MAX
 ) -> tuple[float | None, float]:
     """(g2_a, mean_n_a) at one parameter point under the chosen solver.
 
-    g2_a is None where the correlation is undefined (zero mean photon
-    number). A weak-drive g2 or mean n that overflows raises SolverError.
+    A batch of one through the solver's kernel, so a point and a grid agree
+    bit for bit. g2_a is None where the correlation is undefined (zero mean
+    photon number); a failed point raises SolverError.
     """
-    solver = normalize_solver(solver)
-    spec = HilbertSpec(n_max, n_max)  # every solver refuses a bad cutoff
-    if solver == SOLVER_MASTER_EQUATION:  # a grid of one point
-        g2, mean_n, error = master_equation_grid(SimpleNamespace(**{
-            name: np.array([value]) for name, value in params.to_dict().items()}), spec)
-        if error[0]:
-            raise SolverError(error[0])
-        return None if math.isnan(g2[0]) else float(g2[0]), float(mean_n[0])
-    with np.errstate(all="ignore"):  # overflow yields inf or NaN, flagged below
-        amps = hierarchy_steady(params) if solver == SOLVER_HIERARCHY \
-            else full_truncated_steady(params)
-        g2, mean_n = g2_approx(amps), mean_photon_approx(amps)
-    if not math.isfinite(mean_n) or not (g2 is None or math.isfinite(g2)):
-        raise SolverError("weak-drive g2 overflowed: |c10|^4 or |c20|^2 is not finite")
-    return g2, mean_n
+    g2, mean_n, error = _kernel(solver, n_max)(params)
+    if error[0]:
+        raise SolverError(error[0])
+    return None if math.isnan(g2[0]) else float(g2[0]), float(mean_n[0])
 
 
 def evaluate_grid(points: Mapping[str, object], solver: str, n_max: int = DEFAULT_N_MAX,
@@ -98,14 +95,12 @@ def evaluate_grid(points: Mapping[str, object], solver: str, n_max: int = DEFAUL
     elsewhere; g2 is NaN there and where evaluate_point returns None, mean
     n there.
 
-    threads workers share chunks of at most GRID_CHUNK points. Each solver
-    solves a chunk in one call: master_equation_grid, or the weak-drive
-    stacks, whose non-finite results and exactly singular chunks go through
-    evaluate_point one by one. The values do not depend on threads.
+    threads workers, at most one per CPU, share chunks of at most GRID_CHUNK
+    points. The solver's kernel answers a chunk in one call, as it answers
+    evaluate_point's batch of one. The values do not depend on threads.
     """
-    solver = normalize_solver(solver)
+    kernel = _kernel(solver, n_max)  # a bad cutoff fails the call, not each point
     check_int(threads, 1, "threads")
-    spec = HilbertSpec(n_max, n_max)  # a bad cutoff fails the call, not each point
     check_fields(points, "parameter", PARAM_FIELDS)
     defaults = SystemParams()
     fields = np.broadcast_arrays(*(check_numbers(points.get(name, getattr(defaults, name)), name)
@@ -120,36 +115,16 @@ def evaluate_grid(points: Mapping[str, object], solver: str, n_max: int = DEFAUL
     for extreme in (np.min, np.max):
         SystemParams(**{name: extreme(values) for name, values in zip(PARAM_FIELDS, fields)})
     columns = [values.ravel() for values in fields]
-    stacked = {SOLVER_HIERARCHY: hierarchy_grid,
-               SOLVER_FULL_TRUNCATED: full_truncated_grid}.get(solver)
 
     def evaluate(chunk: slice) -> None:
-        chunk_params = SimpleNamespace(**{name: column[chunk]
-                                          for name, column in zip(PARAM_FIELDS, columns)})
-        if solver == SOLVER_MASTER_EQUATION:
-            g2[chunk], mean_n[chunk], error[chunk] = master_equation_grid(chunk_params, spec)
-            return
-        pending = range(size)[chunk]
-        try:
-            with np.errstate(all="ignore"):  # non-finite points are redone below
-                g2[chunk], mean_n[chunk] = stacked(chunk_params)
-        except SolverError:
-            pass  # an exactly singular matrix
-        else:
-            pending = pending.start + np.flatnonzero(~np.isfinite(g2[chunk] + mean_n[chunk]))
-        for i in pending:
-            params = SystemParams(**{name: column[i]
-                                     for name, column in zip(PARAM_FIELDS, columns)})
-            try:
-                g2_i, mean_n[i] = evaluate_point(params, solver, n_max)
-            except SolverError as err:
-                g2_i, mean_n[i], error[i] = None, math.nan, str(err)
-            g2[i] = math.nan if g2_i is None else g2_i
+        g2[chunk], mean_n[chunk], error[chunk] = kernel(SimpleNamespace(**{
+            name: column[chunk] for name, column in zip(PARAM_FIELDS, columns)}))
 
     step = min(GRID_CHUNK, math.ceil(size / threads))
     chunks = [slice(start, start + step) for start in range(0, size, step)]
-    if len(chunks) > 1 and threads > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
+    workers = min(threads, len(chunks), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(evaluate, chunks))
     else:
         list(map(evaluate, chunks))

@@ -606,6 +606,103 @@ def test_grid_threads_agree_under_fast_switching():
     assert serial[2][GRID_CHUNK // 4] == "Singular matrix"
 
 
+# Every failure kind a weak-drive solver produces, and its message word for
+# word: an undriven point (g2 undefined, no error), vanishing rates, and the
+# two overflows.
+UNDRIVEN = SystemParams(coupling_j=3.0)
+VANISHING_RATES = SystemParams(kappa_a=5e-324, kappa_b=5e-324)
+SOLUTION_OVERFLOW = {
+    SOLVER_HIERARCHY: "two-photon 3x3 system overflowed: its solution is not finite",
+    SOLVER_FULL_TRUNCATED: "truncated-manifold 5x5 system overflowed: its solution is not finite",
+}
+G2_OVERFLOW = "weak-drive g2 overflowed: |c10|^4 or |c20|^2 is not finite"
+WEAK_FAILURES = {
+    SOLVER_HIERARCHY: [
+        (VANISHING_RATES, SOLUTION_OVERFLOW[SOLVER_HIERARCHY]),
+        (SystemParams(coupling_j=3.0, delta_a=0.5, delta_b=0.5, eps_a=1e160),
+         SOLUTION_OVERFLOW[SOLVER_HIERARCHY]),
+        (SystemParams(coupling_j=3.0, delta_a=0.5, delta_b=0.5, eps_a=1e140), G2_OVERFLOW),
+    ],
+    SOLVER_FULL_TRUNCATED: [
+        (VANISHING_RATES, "Singular matrix"),
+        (SystemParams(coupling_j=3.0, delta_a=0.5, delta_b=0.5, eps_a=1e80), G2_OVERFLOW),
+    ],
+}
+
+
+def point_outcome(params, solver):
+    """evaluate_point's answer as a grid records it: (g2, mean n, error)."""
+    try:
+        g2, mean_n = evaluate_point(params, solver)
+    except SolverError as err:
+        return math.nan, math.nan, str(err)
+    return math.nan if g2 is None else g2, mean_n, ""
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("solver", [SOLVER_HIERARCHY, SOLVER_FULL_TRUNCATED])
+def test_weak_drive_grid_and_points_share_one_kernel(solver, threads):
+    # GRID_CHUNK + 3 points: threads=1 cuts them after GRID_CHUNK, threads=2
+    # after 514. The failures sit on both sides of both cuts, between good
+    # points, so each singular matrix shares its chunk with good points.
+    rng = np.random.default_rng(211)
+    rows = [random_params(rng, symmetric=False) for _ in range(GRID_CHUNK + 3)]
+    failures = [(UNDRIVEN, "")] + WEAK_FAILURES[solver]
+    places = {}
+    for offset, (params, message) in enumerate(failures):
+        for start in (5, 510, GRID_CHUNK - 4):
+            rows[start + 2 * offset] = params
+            places[start + 2 * offset] = message
+    g2, mean_n, error = evaluate_grid(
+        {name: np.array([getattr(p, name) for p in rows]) for name in PARAM_FIELDS},
+        solver, threads=threads)
+    for i, params in enumerate(rows):
+        want_g2, want_mean, want_error = point_outcome(params, solver)
+        assert error[i] == want_error == places.get(i, "")
+        assert np.array_equal(g2[i], want_g2, equal_nan=True)
+        assert np.array_equal(mean_n[i], want_mean, equal_nan=True)
+    assert np.isnan(g2[5]) and mean_n[5] == 0.0  # undriven: g2 undefined
+    for singular in (7, 512, GRID_CHUNK - 2):  # the vanishing rates
+        assert error[singular] == failures[1][1]
+        assert np.isfinite(g2[[singular - 1, singular + 1]]).all()
+        assert np.isfinite(mean_n[[singular - 1, singular + 1]]).all()
+
+
+@pytest.mark.parametrize("solver", ["MasterEquation", SOLVER_HIERARCHY, SOLVER_FULL_TRUNCATED])
+def test_point_answers_python_floats(solver):
+    g2, mean_n = evaluate_point(SystemParams(coupling_j=3.0, eps_a=0.01, u_a=0.05), solver)
+    assert type(g2) is float and type(mean_n) is float
+
+
+def test_grid_pool_is_capped_at_the_cpu_count(monkeypatch):
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, function, items):
+            return map(function, items)
+
+    points = {"delta_a": np.linspace(0.0, 2.0, 16), "coupling_j": 3.0, "eps_a": 0.01}
+    serial = evaluate_grid(points, SOLVER_HIERARCHY)
+    monkeypatch.setattr(solvers, "ThreadPoolExecutor", SerialPool)
+    for cpus, workers in ((3, [3]), (None, []), (64, [16])):
+        monkeypatch.setattr(solvers.os, "cpu_count", lambda: cpus)
+        requested.clear()
+        # 10000 threads cut the grid in 16 one-point chunks
+        capped = evaluate_grid(points, SOLVER_HIERARCHY, threads=10000)
+        assert requested == workers
+        for want, got in zip(serial, capped):
+            assert np.array_equal(want, got, equal_nan=want.dtype != object)
+
+
 @pytest.mark.parametrize("solve", [
     full_truncated_steady,
     lambda params: evaluate_point(params, SOLVER_FULL_TRUNCATED),
