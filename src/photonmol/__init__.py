@@ -18,7 +18,8 @@ from .amplitude import (
     two_photon_amplitudes,
 )
 from .errors import SolverError
-from .fock import HilbertSpec, create, destroy, identity, mode_annihilators, mode_operator, tensor
+from .fock import (
+    HilbertSpec, TotalSpec, create, destroy, identity, mode_annihilators, mode_operator, tensor)
 from .lindblad import Observables, evolve, observables, steady_state, validate_density_matrix
 from .model import (
     DriveRatios,
@@ -60,7 +61,8 @@ __all__ = [
     "FIGURE_NAMES", "HilbertSpec", "Observables", "OptimalPoint",
     "ResultRow", "SOLVERS", "SOLVER_FULL_TRUNCATED", "SOLVER_HIERARCHY",
     "SOLVER_MASTER_EQUATION", "DEFAULT_N_MAX", "SolverError", "SweepConfig",
-    "SystemParams", "bunching_phase_curve", "c10_zero_condition", "cli_main",
+    "SystemParams", "TotalSpec", "bunching_phase_curve", "c10_zero_condition",
+    "cli_main",
     "create", "destroy", "drive_ratios", "dual_drive_optimum_asymptotic",
     "dual_drive_optimum_exact_phi0", "evaluate_grid", "evaluate_point",
     "evolve", "figure",

@@ -51,7 +51,10 @@ def _build_parser() -> argparse.ArgumentParser:
     point.add_argument("--kappa", type=float, help="common dissipation rate")
     point.add_argument("--solver", default=SOLVER_MASTER_EQUATION,
                        help=f"one of {', '.join(SOLVERS)}")
-    point.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
+    point.add_argument("--n-max", type=int,
+                       help="MasterEquation box cutoff n_a, n_b <= N-MAX (default: "
+                            f"the total cutoff n_a + n_b <= {DEFAULT_N_MAX}, raised "
+                            f"to {DEFAULT_N_MAX + 1} at points that need it)")
 
     sweep = sub.add_parser("sweep", help="run a 2-D sweep from a JSON config")
     sweep.add_argument("--config", required=True)

@@ -1,7 +1,9 @@
 """Truncated two-mode Fock spaces and bosonic ladder operators as dense matrices.
 
 Basis convention: |n_a, n_b> maps to row index n_a * (n_max_b + 1) + n_b,
-i.e. mode A is the slow (outer) index of the Kronecker product.
+i.e. mode A is the slow (outer) index of the Kronecker product. The
+total-excitation space (TotalSpec) keeps the states n_a + n_b <= N of the
+box HilbertSpec(N, N), in the box's order.
 """
 
 import functools
@@ -43,6 +45,46 @@ class HilbertSpec:
         vec = np.zeros(self.dim, dtype=complex)
         vec[self.index(n_a, n_b)] = 1.0
         return vec
+
+
+@functools.lru_cache(maxsize=16)
+def _total_states(n_total: int) -> tuple[tuple[int, int], ...]:
+    """(n_a, n_b) of the states with n_a + n_b <= n_total, mode A slow."""
+    return tuple((n_a, n_b) for n_a in range(n_total + 1) for n_b in range(n_total + 1 - n_a))
+
+
+@dataclass(frozen=True)
+class TotalSpec:
+    """Two-mode Fock space truncated in the total photon number: the states
+    |n_a, n_b> with n_a + n_b <= n_total, ordered as in box (mode A slow).
+
+    Its generator is the box generator restricted to these states (see
+    model._liouvillian_table()); there are no ladder operators of its own.
+    """
+
+    n_total: int
+
+    def __post_init__(self):
+        check_int(self.n_total, 0, "photon-number cutoff")
+
+    @property
+    def box(self) -> HilbertSpec:
+        """The smallest box space holding every state."""
+        return HilbertSpec(self.n_total, self.n_total)
+
+    @property
+    def dim(self) -> int:
+        return (self.n_total + 1) * (self.n_total + 2) // 2
+
+    def occupations(self, index: int) -> tuple[int, int]:
+        """Occupation numbers (n_a, n_b) of basis state index."""
+        if not 0 <= index < self.dim:
+            raise ValueError(f"index {index} outside [0, {self.dim})")
+        return _total_states(self.n_total)[index]
+
+    def box_indices(self) -> np.ndarray:
+        """Basis indices of the states in box, ascending."""
+        return np.array([self.box.index(*state) for state in _total_states(self.n_total)])
 
 
 def destroy(n_max: int) -> np.ndarray:

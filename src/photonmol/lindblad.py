@@ -14,7 +14,7 @@ import scipy.linalg
 
 from .errors import SolverError
 # mode_annihilators is not called here; perfbench's tracer looks it up here.
-from .fock import HilbertSpec, mode_annihilators  # noqa: F401
+from .fock import HilbertSpec, TotalSpec, mode_annihilators  # noqa: F401
 from .model import PARAM_FIELDS, hermitian_entries, hermitian_maps, unvec, vec
 
 # LU factorisation of the real steady-state system, returning (lu, piv,
@@ -24,11 +24,19 @@ _getrf, _getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=np.floa
 # What a generator with a non-finite entry outside the trace row reports.
 _NOT_FINITE = "steady-state system is singular: array must not contain infs or NaNs"
 
-# Points per sparse table product in master_equation_grid. At cutoff 3 a
+# Points per sparse table product in master_equation_grid. In box 3 a
 # point's values take 4203 real and 2655 complex entries (76 KB), so a
 # block of 32 takes about 2.5 MB where a grid chunk of 1024 would take
-# 78 MB; blocks of 16 to 64 points ran equally fast.
+# 78 MB; blocks of 16 to 64 points ran equally fast. In the default total
+# space N = 3 a point takes 1341 and 891 entries (25 KB).
 _TABLE_BLOCK = 32
+
+# Top-shell share (see _solve_points()) above which master_equation_grid
+# solves a point again one total cutoff higher. With 1e-3 the default
+# space was within 4e-4 of N = 5 in g2 on 7,300 figure-grid points and
+# random draws up to 100x the usual drive; with 1e-2, within 5e-3. The
+# exact antibunching zeros sit at 0.58-0.67.
+TOP_SHELL_LIMIT = 1e-3
 
 # Trace drift per integration step signalling an unstable step size.
 _TRACE_DRIFT_LIMIT = 1e-6
@@ -207,13 +215,43 @@ def _steady_coordinates(liouv_h: np.ndarray, work: np.ndarray, scale: float) -> 
     return solution
 
 
-def master_equation_grid(params, spec: HilbertSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def master_equation_grid(params, spec, escalate_to: TotalSpec | None = None
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(g2_a, mean_n_a, error) arrays of the steady states at many points.
 
     params is a SystemParams, or any object whose PARAM_FIELDS attributes are
     equal-length arrays (a grid's field columns), checked as SystemParams does.
-    error holds the SolverError message of a failed point, "" elsewhere; g2
-    is NaN there and where the correlation is undefined, mean n there.
+    spec is a HilbertSpec or a TotalSpec. error holds the SolverError message
+    of a failed point, "" elsewhere; g2 is NaN there and where the
+    correlation is undefined, mean n there.
+
+    With escalate_to (spec a TotalSpec then), a point whose top-shell share
+    (see _solve_points()) exceeds TOP_SHELL_LIMIT is solved again in
+    escalate_to, and fails if its share there still exceeds it. Each point
+    escalates on its own, so the values do not depend on how a grid is split.
+    """
+    columns = {name: np.atleast_1d(getattr(params, name)) for name in PARAM_FIELDS}
+    g2, mean_n, error, share = _solve_points(columns, spec)
+    if escalate_to is None:
+        return g2, mean_n, error
+    redo = np.flatnonzero(share > TOP_SHELL_LIMIT)
+    if redo.size:
+        g2[redo], mean_n[redo], error[redo], share = _solve_points(
+            {name: column[redo] for name, column in columns.items()}, escalate_to)
+        above = share > TOP_SHELL_LIMIT
+        g2[redo[above]] = mean_n[redo[above]] = math.nan
+        error[redo[above]] = [
+            f"truncation not converged: top-shell share {value:.3e} at total "
+            f"cutoff {escalate_to.n_total} exceeds {TOP_SHELL_LIMIT:g}" for value in share[above]]
+    return g2, mean_n, error
+
+
+def _solve_points(columns: dict, spec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """master_equation_grid() in one space, without escalation, and each
+    point's top-shell share in a TotalSpec: sum of n_a(n_a - 1) p over the
+    states with n_a + n_b = spec.n_total, over the same sum on all states
+    (0.0 where that is 0.0). The shares are NaN in a HilbertSpec and at
+    failed points.
 
     One kernel: the generators' values come from one sparse product per
     table and block of _TABLE_BLOCK points. Each point scatters its values
@@ -223,9 +261,8 @@ def master_equation_grid(params, spec: HilbertSpec) -> tuple[np.ndarray, np.ndar
     """
     dim = spec.dim
     size = dim * dim
-    columns = {name: np.atleast_1d(getattr(params, name)) for name in PARAM_FIELDS}
     count = len(columns["delta_a"])
-    g2, mean_n = np.full(count, np.nan), np.full(count, np.nan)
+    g2, mean_n, share = np.full(count, np.nan), np.full(count, np.nan), np.full(count, np.nan)
     error = np.full(count, "", dtype=object)
     flat = np.zeros(size * size)
     liouv_h = flat.reshape((size, size), order="F")  # a view of flat
@@ -235,6 +272,7 @@ def master_equation_grid(params, spec: HilbertSpec) -> tuple[np.ndarray, np.ndar
     # observables() reads rho's diagonal, so both give the same bits.
     populations = np.empty((dim, 2))[:, 0]
     moments_a = _photon_numbers(spec)[0]
+    top_pairs = _top_shell_pairs(spec) if isinstance(spec, TotalSpec) else None
     with _single_threaded_blas, np.errstate(all="ignore"):
         for start in range(0, count, _TABLE_BLOCK):
             block = slice(start, start + _TABLE_BLOCK)
@@ -256,7 +294,10 @@ def master_equation_grid(params, spec: HilbertSpec) -> tuple[np.ndarray, np.ndar
                 populations[:] = solution[:dim]
                 mean_n[i], g2_i = _moments(populations, *moments_a)
                 g2[i] = math.nan if g2_i is None else g2_i
-    return g2, mean_n, error
+                if top_pairs is not None:
+                    total = populations @ moments_a[1]
+                    share[i] = populations @ top_pairs / total if total > 0.0 else 0.0
+    return g2, mean_n, error, share
 
 
 def evolve(
@@ -300,7 +341,7 @@ def evolve(
 
 
 @functools.lru_cache(maxsize=16)
-def _photon_numbers(spec: HilbertSpec) -> np.ndarray:
+def _photon_numbers(spec: HilbertSpec | TotalSpec) -> np.ndarray:
     """(mode, moment, state) array: for modes A and B, n and n(n-1) of each
     basis state, the diagonals of a'a and a'a'aa. Cached per space and
     shared between callers, so read-only."""
@@ -308,6 +349,16 @@ def _photon_numbers(spec: HilbertSpec) -> np.ndarray:
     weights = np.stack([counts, counts * (counts - 1)], axis=1).astype(float)
     weights.setflags(write=False)
     return weights
+
+
+@functools.lru_cache(maxsize=16)
+def _top_shell_pairs(spec: TotalSpec) -> np.ndarray:
+    """n_a(n_a-1) of each basis state with n_a + n_b = spec.n_total, 0.0 on
+    the others. Cached per space and shared between callers, so read-only."""
+    (n_a, pairs_a), (n_b, _) = _photon_numbers(spec)
+    pairs = np.where(n_a + n_b == spec.n_total, pairs_a, 0.0)
+    pairs.setflags(write=False)
+    return pairs
 
 
 def _moments(populations: np.ndarray, n: np.ndarray, pairs: np.ndarray):
@@ -318,7 +369,7 @@ def _moments(populations: np.ndarray, n: np.ndarray, pairs: np.ndarray):
     return mean_n, None if denom == 0.0 else max(populations @ pairs, 0.0) / denom
 
 
-def observables(rho: np.ndarray, spec: HilbertSpec) -> Observables:
+def observables(rho: np.ndarray, spec: HilbertSpec | TotalSpec) -> Observables:
     """Mean photon numbers and g2(0) of both modes from a density matrix.
     Both moments are diagonal in the Fock basis, so they are read from the
     populations."""

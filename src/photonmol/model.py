@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import check_fields, check_number
-from .fock import HilbertSpec, mode_annihilators
+from .fock import HilbertSpec, TotalSpec, mode_annihilators
 
 _TAU = 2.0 * math.pi
 
@@ -201,7 +201,7 @@ def _kron_entries(op_a: np.ndarray, op_b: np.ndarray, size: int):
 
 
 @functools.lru_cache(maxsize=16)
-def _liouvillian_table(spec: HilbertSpec) -> tuple[np.ndarray, scipy.sparse.csr_array]:
+def _liouvillian_table(spec: HilbertSpec | TotalSpec) -> tuple[np.ndarray, scipy.sparse.csr_array]:
     """Affine decomposition of the generator on one Hilbert space.
 
     L is linear in the coefficients returned by _liouvillian_coefficients().
@@ -213,6 +213,8 @@ def _liouvillian_table(spec: HilbertSpec) -> tuple[np.ndarray, scipy.sparse.csr_
     result does not depend on the BLAS thread count. Cached and shared
     between callers, who must not modify it.
     """
+    if isinstance(spec, TotalSpec):
+        return _restricted_table(spec)
     a, b = mode_annihilators(spec)
     ad, bd = a.conj().T, b.conj().T
     eye = np.eye(spec.dim, dtype=complex)
@@ -249,6 +251,28 @@ def _liouvillian_table(spec: HilbertSpec) -> tuple[np.ndarray, scipy.sparse.csr_
     return positions, table
 
 
+def _restricted_table(spec: TotalSpec) -> tuple[np.ndarray, scipy.sparse.csr_array]:
+    """_liouvillian_table() of a total-excitation space: the rows of the box
+    table at the entries whose row and column both index density-matrix
+    elements between kept states. This is exact: between kept states each
+    box generator equals the untruncated one, since the intermediate states
+    of its operator products (a kept state with a photon removed, or moved
+    to the other mode) lie in the box. Products of ladders projected onto
+    the kept states would not be Hermitian on the top shell."""
+    positions, table = _liouvillian_table(spec.box)
+    box_dim, kept = spec.box.dim, spec.box_indices()
+    box_size, size = box_dim**2, spec.dim**2
+    # vec index of rho_ij: i + j * dim, in the box and in the kept space.
+    new_index = np.full(box_size, -1)
+    new_index[(kept[:, None] + kept[None, :] * box_dim).ravel(order="F")] = np.arange(size)
+    rows, cols = (new_index[part] for part in np.divmod(positions, box_size))
+    keep = np.flatnonzero((rows >= 0) & (cols >= 0))
+    # new_index preserves order, so the positions stay sorted
+    kept_positions = rows[keep] * size + cols[keep]
+    kept_positions.setflags(write=False)
+    return kept_positions, table[keep]
+
+
 def _liouvillian_coefficients(params) -> np.ndarray:
     """Real coefficients of the generators of _liouvillian_table(), in its
     order: each drive eps e^{i phi} enters by its real and imaginary parts.
@@ -264,7 +288,7 @@ def _liouvillian_coefficients(params) -> np.ndarray:
     ])
 
 
-def liouvillian(params: SystemParams, spec: HilbertSpec) -> np.ndarray:
+def liouvillian(params: SystemParams, spec: HilbertSpec | TotalSpec) -> np.ndarray:
     """Generator of d(vec rho)/dt = L vec(rho): commutator with the Hamiltonian
     plus a dissipator kappa_x * D[x] for each mode, in column-stacking
     convention. Returned as a fresh dense array."""
@@ -306,7 +330,7 @@ def hermitian_maps(dim: int) -> tuple[scipy.sparse.csr_array, scipy.sparse.csr_a
 
 
 @functools.lru_cache(maxsize=16)
-def _hermitian_table(spec: HilbertSpec) -> tuple[np.ndarray, scipy.sparse.csr_array]:
+def _hermitian_table(spec: HilbertSpec | TotalSpec) -> tuple[np.ndarray, scipy.sparse.csr_array]:
     """_liouvillian_table() in the real coordinates of hermitian_maps().
 
     Each generator, taken with a real coefficient from
@@ -340,7 +364,8 @@ def _hermitian_table(spec: HilbertSpec) -> tuple[np.ndarray, scipy.sparse.csr_ar
     return real_positions, real_table
 
 
-def hermitian_entries(params, spec: HilbertSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def hermitian_entries(params, spec: HilbertSpec | TotalSpec
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """hermitian_liouvillian() as its nonzero entries: the column-major flat
     indices of the real generator's structurally nonzero entries, the
     generator's values there, and max |L| over the complex generator's
@@ -357,7 +382,8 @@ def hermitian_entries(params, spec: HilbertSpec) -> tuple[np.ndarray, np.ndarray
     return positions, table @ coefficients, np.max(np.abs(entries), axis=0, initial=0.0)
 
 
-def hermitian_liouvillian(params: SystemParams, spec: HilbertSpec) -> tuple[np.ndarray, float]:
+def hermitian_liouvillian(params: SystemParams, spec: HilbertSpec | TotalSpec
+                          ) -> tuple[np.ndarray, float]:
     """The generator in the real coordinates of hermitian_maps(), as a fresh
     real (d^2 x d^2) column-major array assembled from the cached real
     table, and max |L| over the entries of the complex generator, which

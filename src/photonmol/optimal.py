@@ -21,7 +21,6 @@ from scipy.optimize import brentq, minimize
 from .errors import SolverError, check_int
 from .model import symmetric_params
 from .solvers import (
-    DEFAULT_N_MAX,
     SOLVER_FULL_TRUNCATED,
     evaluate_grid,
     evaluate_point,
@@ -250,7 +249,7 @@ def numeric_optimum(
     solver: str = SOLVER_FULL_TRUNCATED,
     eps_a: float | None = None,
     grid_points: int = 64,
-    n_max: int = DEFAULT_N_MAX,
+    n_max: int | None = None,
 ) -> OptimalPoint:
     """Numerically minimize the mode-A correlation over (delta, u).
 
@@ -259,6 +258,7 @@ def numeric_optimum(
     one evaluate_grid call, followed by Nelder-Mead refinement in log
     coordinates to a fixed relative parameter tolerance of REFINE_TOL
     (1e-4). Grid ties closer than 1e-12 prefer the weaker nonlinearity.
+    n_max is the master equation's cutoff, read as by evaluate_point.
 
     u is capped at the grid's top row (kappa), delta is free. A run ending
     within REFINE_TOL of the cap (in log u) at 1 < eta < inf is refined

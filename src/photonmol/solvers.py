@@ -3,7 +3,9 @@
 Solver ids (as used in JSON configs and on the command line):
 
 * "MasterEquation"  exact steady state of the dissipative dynamics in a
-                    truncated Fock space,
+                    truncated Fock space: by default n_a + n_b <= 3,
+                    escalating per point to 4; an integer cutoff k is the
+                    box n_a, n_b <= k,
 * "Hierarchy"       closed-form one-photon amplitudes plus the 3x3
                     two-photon system,
 * "FullTruncated"   the full 5x5 steady amplitude system.
@@ -27,7 +29,7 @@ import numpy as np
 from .amplitude import (  # noqa: F401
     full_truncated_grid, full_truncated_steady, hierarchy_grid, hierarchy_steady)
 from .errors import SolverError, check_fields, check_int, check_numbers
-from .fock import HilbertSpec
+from .fock import HilbertSpec, TotalSpec
 from .lindblad import master_equation_grid, observables, steady_state  # noqa: F401
 from .model import PARAM_FIELDS, SystemParams, liouvillian  # noqa: F401
 
@@ -39,9 +41,13 @@ SOLVERS = (SOLVER_MASTER_EQUATION, SOLVER_HIERARCHY, SOLVER_FULL_TRUNCATED)
 
 _CANONICAL = {name.lower(): name for name in SOLVERS}
 
-# Fock cutoff per mode for master-equation runs; one level above the
-# two-photon manifold keeps the truncation error negligible at weak drive.
+# Base total cutoff N of the default master-equation space n_a + n_b <= N:
+# one level above the two-photon manifold, where the weak-drive physics
+# lives. A point whose top shell carries more than lindblad.TOP_SHELL_LIMIT
+# of the g2 numerator is solved again at N + 1 (the antibunching zeros).
 DEFAULT_N_MAX = 3
+
+_DEFAULT_SPACES = (TotalSpec(DEFAULT_N_MAX), TotalSpec(DEFAULT_N_MAX + 1))
 
 # Points per stacked solve in evaluate_grid. Bounds its temporary arrays
 # under 1 MB however large the grid; a 64x64 grid solves as fast in four
@@ -57,25 +63,31 @@ def normalize_solver(name: str) -> str:
     return canonical
 
 
-def _kernel(solver: str, n_max: int):
+def _kernel(solver: str, n_max: int | None):
     """solver's kernel: a function of a SystemParams, or of a chunk's field
     columns, returning (g2_a, mean_n_a, error) arrays. The one place the
-    cutoff becomes a space, so every solver refuses a bad cutoff."""
+    cutoff becomes a space, so every solver refuses a bad cutoff. None is
+    the default space: total N = DEFAULT_N_MAX, escalating per point to
+    N + 1; an integer k is the box HilbertSpec(k, k)."""
     solver = normalize_solver(solver)
-    spec = HilbertSpec(n_max, n_max)
+    spaces = _DEFAULT_SPACES if n_max is None else (HilbertSpec(n_max, n_max),)
     if solver == SOLVER_MASTER_EQUATION:
-        return lambda params: master_equation_grid(params, spec)
+        return lambda params: master_equation_grid(params, *spaces)
     return hierarchy_grid if solver == SOLVER_HIERARCHY else full_truncated_grid
 
 
 def evaluate_point(
-    params: SystemParams, solver: str, n_max: int = DEFAULT_N_MAX
+    params: SystemParams, solver: str, n_max: int | None = None
 ) -> tuple[float | None, float]:
     """(g2_a, mean_n_a) at one parameter point under the chosen solver.
 
     A batch of one through the solver's kernel, so a point and a grid agree
-    bit for bit. g2_a is None where the correlation is undefined (zero mean
-    photon number); a failed point raises SolverError.
+    bit for bit. n_max None is the master equation's default space, total
+    N = DEFAULT_N_MAX escalating to N + 1; an integer k is the box
+    n_a, n_b <= k. The weak-drive solvers have no cutoff but refuse a bad
+    one. g2_a is None where the correlation is undefined (zero mean photon
+    number); a failed point raises SolverError, as does a default-space
+    point whose truncation has not converged at N + 1.
     """
     g2, mean_n, error = _kernel(solver, n_max)(params)
     if error[0]:
@@ -83,7 +95,7 @@ def evaluate_point(
     return None if math.isnan(g2[0]) else float(g2[0]), float(mean_n[0])
 
 
-def evaluate_grid(points: Mapping[str, object], solver: str, n_max: int = DEFAULT_N_MAX,
+def evaluate_grid(points: Mapping[str, object], solver: str, n_max: int | None = None,
                   threads: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(g2_a, mean_n_a, error) arrays over a grid of parameter points.
 
@@ -95,9 +107,10 @@ def evaluate_grid(points: Mapping[str, object], solver: str, n_max: int = DEFAUL
     elsewhere; g2 is NaN there and where evaluate_point returns None, mean
     n there.
 
-    threads workers, at most one per CPU, share chunks of at most GRID_CHUNK
-    points. The solver's kernel answers a chunk in one call, as it answers
-    evaluate_point's batch of one. The values do not depend on threads.
+    n_max is read as by evaluate_point. threads workers, at most one per
+    CPU, share chunks of at most GRID_CHUNK points. The solver's kernel
+    answers a chunk in one call, as it answers evaluate_point's batch of
+    one. The values do not depend on threads.
     """
     kernel = _kernel(solver, n_max)  # a bad cutoff fails the call, not each point
     check_int(threads, 1, "threads")

@@ -23,7 +23,7 @@ from ._version import __version__
 from .errors import SolverError, check_fields, check_int, check_number, check_numbers
 from .model import DERIVED_AXES, PARAM_FIELDS, SystemParams, apply_axis, drive_ratios
 from .optimal import OptimalPoint, dual_drive_optimum_asymptotic, single_drive_optimum
-from .solvers import DEFAULT_N_MAX, evaluate_grid, evaluate_point, normalize_solver
+from .solvers import evaluate_grid, evaluate_point, normalize_solver
 
 CONSTRAINT_TARGETS = ("u", "u_a", "u_b", "delta", "delta_a", "delta_b")
 
@@ -176,7 +176,7 @@ def apply_constraints(params: SystemParams, constraints) -> SystemParams:
 
 
 def run_point(
-    params: SystemParams, solver: str, n_max: int = DEFAULT_N_MAX
+    params: SystemParams, solver: str, n_max: int | None = None
 ) -> ResultRow:
     """Evaluate one parameter point; solver errors carry the point context."""
     solver = normalize_solver(solver)

@@ -93,7 +93,10 @@ def check_drive_scaling_invariance(draws: int, seed: int = 404) -> int:
 
 
 def check_truncation_convergence(draws: int, seed: int = 505) -> int:
+    """Box 3 against box 4, the references, and the default space against
+    the total cutoff n_a + n_b <= 5."""
     rng = np.random.default_rng(seed)
+    total5 = pm.TotalSpec(5)
     for _ in range(draws):
         params = generic_params(rng)
         values = []
@@ -103,6 +106,10 @@ def check_truncation_convergence(draws: int, seed: int = 505) -> int:
                 pm.steady_state(pm.liouvillian(params, spec)), spec)
             values.append(obs.g2_a)
         assert abs(values[0] - values[1]) <= 1e-6 * abs(values[1])
+        default, _ = pm.evaluate_point(params, pm.SOLVER_MASTER_EQUATION)
+        converged = pm.observables(
+            pm.steady_state(pm.liouvillian(params, total5)), total5).g2_a
+        assert abs(default - converged) <= 1e-6 * abs(converged)
     return draws
 
 

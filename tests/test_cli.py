@@ -91,22 +91,39 @@ def test_point_hierarchy_at_an_asymmetric_point(capsys):
     assert (payload["g2_a"], payload["mean_n_a"]) == (g2, mean_n)
 
 
-@pytest.mark.parametrize("solver", ["MasterEquation", "Hierarchy"])
-def test_point_overflow_is_a_solver_error(capsys, solver):
+@pytest.mark.parametrize("argv", [
+    pytest.param(("--solver", "MasterEquation", "--n-max", "3"), id="MasterEquation"),
+    pytest.param(("--solver", "Hierarchy"), id="Hierarchy"),
+])
+def test_point_overflow_is_a_solver_error(capsys, argv):
     code, out, err = run_cli(capsys, "point", "--j", "3", "--eps-a", "1e160",
-                             "--delta", "0.5", "--solver", solver)
+                             "--delta", "0.5", *argv)
     assert code == 2
     assert out == ""  # no NaN or Infinity printed as JSON
     assert err.startswith("solver error:") and "overflowed" in err
 
 
+@pytest.mark.parametrize("eps_a, share", [("1e160", "6.000e-01"), ("1", "1.934e-02")])
+def test_point_with_an_unconverged_default_truncation_is_a_solver_error(capsys, eps_a, share):
+    # Every total cutoff saturates from eps_a = 1e3 on; at eps_a = 1 total
+    # N = 4 is still 4% off.
+    code, out, err = run_cli(capsys, "point", "--j", "3", "--eps-a", eps_a, "--delta", "0.5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"solver error: truncation not converged: top-shell share {share} "
+                          "at total cutoff 4 exceeds 0.001 [at params")
+
+
 @pytest.mark.parametrize("argv", [
     ("--eps-a", "1e140", "--solver", "Hierarchy"),
-    ("--eps-a", "1e160"),
+    ("--eps-a", "1e160", "--n-max", "3"),
     ("--eps-a", "1e160", "--solver", "Hierarchy"),
     # Undriven, uncoupled, vanishing rates: 0/0 in the one-photon
     # amplitudes, and an exactly singular generator.
     ("--j", "0", "--delta", "0", "--kappa", "5e-324", "--eps-a", "0", "--solver", "Hierarchy"),
+    ("--j", "0", "--delta", "0", "--kappa", "5e-324", "--eps-a", "0", "--n-max", "3"),
+    # The default space: an unconverged truncation, and the singular generator.
+    ("--eps-a", "1e160"),
     ("--j", "0", "--delta", "0", "--kappa", "5e-324", "--eps-a", "0"),
 ])
 def test_point_overflow_writes_one_stderr_line(capfd, argv):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from photonmol import HilbertSpec, create, destroy, identity, mode_operator, tensor
+from photonmol import HilbertSpec, TotalSpec, create, destroy, identity, mode_operator, tensor
 
 
 def test_destroy_vacuum_only_space():
@@ -135,3 +135,22 @@ def test_index_bounds():
 def test_adjoint_involution():
     op = destroy(3) + 0.5j * create(3)
     assert np.array_equal(op.conj().T.conj().T, op)
+
+
+@pytest.mark.parametrize("n_total", [0, 1, 3, 4])
+def test_total_space_keeps_the_box_states_up_to_the_total_cutoff(n_total):
+    spec = TotalSpec(n_total)
+    box = spec.box
+    assert box == HilbertSpec(n_total, n_total)
+    kept = [box.occupations(i) for i in range(box.dim) if sum(box.occupations(i)) <= n_total]
+    assert spec.dim == len(kept)
+    assert [spec.occupations(i) for i in range(spec.dim)] == kept
+    assert spec.box_indices().tolist() == [box.index(*state) for state in kept]
+    with pytest.raises(ValueError, match="outside"):
+        spec.occupations(spec.dim)
+
+
+@pytest.mark.parametrize("n_total", [-1, 2.0, True])
+def test_total_space_rejects_a_bad_cutoff(n_total):
+    with pytest.raises(ValueError, match="cutoff"):
+        TotalSpec(n_total)

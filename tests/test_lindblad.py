@@ -10,7 +10,9 @@ from photonmol import (
     HilbertSpec,
     SolverError,
     SystemParams,
+    TotalSpec,
     dual_drive_optimum_asymptotic,
+    dual_drive_optimum_exact_phi0,
     evaluate_grid,
     evaluate_point,
     evolve,
@@ -25,12 +27,13 @@ from photonmol import (
     validate_density_matrix,
     vec,
 )
-from photonmol import lindblad
+from photonmol import lindblad, solvers
 from photonmol.lindblad import (
     _openblas_controls,
     _photon_numbers,
     _single_threaded_blas,
     hermitian_steady_state,
+    master_equation_grid,
 )
 from photonmol.model import PARAM_FIELDS, hermitian_liouvillian
 
@@ -81,11 +84,10 @@ def test_steady_state_rejects_a_large_residual(monkeypatch):
     # the tolerance; the gate must catch it rather than return the state.
     liouv = liouvillian(symmetric_params(10.0, delta=0.3, u=0.02, eta=3.0), SPEC)
     exact_solve = lindblad._getrs
-    noise = 1e-6 * np.random.default_rng(61).normal(size=SPEC.dim**2)
 
     def perturbed_solve(*args, **kwargs):
         solution, info = exact_solve(*args, **kwargs)
-        return solution + noise, info
+        return solution + 1e-6 * np.random.default_rng(61).normal(size=solution.size), info
 
     monkeypatch.setattr(lindblad, "_getrs", perturbed_solve)
     with pytest.raises(SolverError, match="ill-conditioned"):
@@ -235,7 +237,10 @@ def test_master_equation_point_reads_the_populations_of_the_dense_solve(n_max):
         assert evaluate_point(params, "MasterEquation", n_max) == (obs.g2_a, obs.mean_n_a)
 
 
-# A grid's failing points and the messages they record, word for word.
+# A grid's failing points and the messages they record, word for word, in
+# the box n_max = 3 and in the default space. There the vanishing rates
+# leave the zero pivot at 11 of 100 unknowns, and every total cutoff
+# saturates at eps_a = 1e160 (mean n = N/2) instead of overflowing.
 FAILING_POINTS = (
     (SystemParams(kappa_a=5e-324, kappa_b=5e-324),
      "steady-state system is singular: pivot 17 is exactly zero"),
@@ -244,23 +249,113 @@ FAILING_POINTS = (
     (SystemParams(coupling_j=3.0, eps_a=1e160, delta_a=0.5, delta_b=0.5),
      "steady-state solve overflowed: residual nan"),
 )
+DEFAULT_SPACE_FAILING_POINTS = (
+    (FAILING_POINTS[0][0], "steady-state system is singular: pivot 11 is exactly zero"),
+    FAILING_POINTS[1],
+    (FAILING_POINTS[2][0], "truncation not converged: top-shell share 6.000e-01 "
+                           "at total cutoff 4 exceeds 0.001"),
+    # box 3 returns g2 = 4.81 here; total N = 4 gives 1.041, N = 5 1.0016
+    (SystemParams(coupling_j=3.0, eps_a=1.0, delta_a=0.5, delta_b=0.5),
+     "truncation not converged: top-shell share 1.934e-02 at total cutoff 4 exceeds 0.001"),
+)
+
+
+def check_failures_spare_the_neighbours(failing, n_max, threads):
+    good = list(asymmetric_dual_drive_points(103, len(failing) + 1))
+    rows = [good[0]]
+    for (params, _), neighbour in zip(failing, good[1:]):
+        rows += [params, neighbour]
+    g2, mean_n, error = evaluate_grid(grid_columns(rows), "MasterEquation", n_max=n_max,
+                                      threads=threads)
+    assert error.tolist() == ["", *(part for _, message in failing for part in (message, ""))]
+    assert np.isnan(g2[1::2]).all() and np.isnan(mean_n[1::2]).all()
+    assert list(zip(g2[::2].tolist(), mean_n[::2].tolist())) == [
+        evaluate_point(params, "MasterEquation", n_max) for params in good]
+    for params, message in failing:
+        with pytest.raises(SolverError) as raised:
+            evaluate_point(params, "MasterEquation", n_max)
+        assert str(raised.value) == message
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_master_equation_grid_records_failures_and_spares_the_neighbours(threads):
-    good = list(asymmetric_dual_drive_points(103, 4))
-    rows = [good[0], FAILING_POINTS[0][0], good[1], FAILING_POINTS[1][0], good[2],
-            FAILING_POINTS[2][0], good[3]]
-    g2, mean_n, error = evaluate_grid(grid_columns(rows), "MasterEquation", threads=threads)
-    assert error.tolist() == ["", FAILING_POINTS[0][1], "", FAILING_POINTS[1][1], "",
-                              FAILING_POINTS[2][1], ""]
-    assert np.isnan(g2[1::2]).all() and np.isnan(mean_n[1::2]).all()
-    assert list(zip(g2[::2].tolist(), mean_n[::2].tolist())) == [
-        evaluate_point(params, "MasterEquation") for params in good]
-    for params, message in FAILING_POINTS:
-        with pytest.raises(SolverError) as raised:
-            evaluate_point(params, "MasterEquation")
-        assert str(raised.value) == message
+    check_failures_spare_the_neighbours(FAILING_POINTS, 3, threads)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_default_space_records_failures_and_spares_the_neighbours(threads):
+    check_failures_spare_the_neighbours(DEFAULT_SPACE_FAILING_POINTS, None, threads)
+
+
+@pytest.mark.parametrize("n_total", [1, 2, 3, 4, 5])
+def test_total_space_generator_is_the_restricted_box_generator(n_total):
+    spec = TotalSpec(n_total)
+    kept = spec.box_indices()
+    vec_kept = (kept[:, None] + kept[None, :] * spec.box.dim).ravel(order="F")
+    for params in asymmetric_dual_drive_points(113 + n_total, 3):
+        box = liouvillian(params, spec.box)
+        assert np.array_equal(liouvillian(params, spec), box[np.ix_(vec_kept, vec_kept)])
+
+
+def total_space_values(params, n_total):
+    g2, mean_n, error = master_equation_grid(params, TotalSpec(n_total))
+    assert error[0] == ""
+    return g2[0], mean_n[0]
+
+
+# The exact phi = 0 antibunching zeros: the total N = 3 top shell carries
+# about 60% of the g2 numerator there, and box 3 is high by 2.6x to 15x.
+@pytest.mark.parametrize("j, eta", [(10.0, 3.0), (12.0, 5.0), (10.0, 6.0)])
+def test_default_space_converges_at_the_antibunching_zero(j, eta):
+    optimum = dual_drive_optimum_exact_phi0(1.0, j, eta)
+    params = symmetric_params(j, delta=optimum.delta_opt, u=optimum.u_opt, eta=eta)
+    converged = total_space_values(params, 5)[0]
+    g2, mean_n = evaluate_point(params, "MasterEquation")
+    assert (g2, mean_n) == total_space_values(params, 4)  # escalated
+    assert abs(g2 - converged) <= 2e-2 * converged
+    assert abs(evaluate_point(params, "MasterEquation", 3)[0] - converged) > converged
+
+
+def test_default_space_solves_weak_points_at_the_base_cutoff():
+    for params in asymmetric_dual_drive_points(127, 8):
+        assert evaluate_point(params, "MasterEquation") == total_space_values(params, 3)
+
+
+def default_space_rows():
+    """Asymmetric weak points with escalated and failing points mixed in,
+    some on either side of a table block boundary."""
+    rows = list(asymmetric_dual_drive_points(131, 2 * lindblad._TABLE_BLOCK + 6))
+    escalated = [symmetric_params(j, delta=opt.delta_opt, u=opt.u_opt, eta=eta)
+                 for j, eta in ((10.0, 3.0), (12.0, 5.0)) for opt in
+                 [dual_drive_optimum_exact_phi0(1.0, j, eta)]]
+    escalated.append(SystemParams(coupling_j=3.0, eps_a=0.1, delta_a=0.5, delta_b=0.5))
+    failing = [params for params, _ in DEFAULT_SPACE_FAILING_POINTS]
+    for at, params in zip((1, 30, 31, 32, 33, 40, 63, 64, 65), escalated + failing):
+        rows[at] = params
+    return rows
+
+
+@pytest.mark.parametrize("table_block, grid_chunk", [
+    (lindblad._TABLE_BLOCK, solvers.GRID_CHUNK), (3, 16)])
+def test_default_space_grid_matches_points_bitwise(monkeypatch, table_block, grid_chunk):
+    rows = default_space_rows()
+    expected = []
+    for params in rows:
+        try:
+            expected.append((*evaluate_point(params, "MasterEquation"), ""))
+        except SolverError as err:
+            expected.append((None, math.nan, str(err)))
+    assert sum(1 for *_, message in expected if message) == len(DEFAULT_SPACE_FAILING_POINTS)
+    monkeypatch.setattr(lindblad, "_TABLE_BLOCK", table_block)
+    monkeypatch.setattr(solvers, "GRID_CHUNK", grid_chunk)
+    for threads in (1, 2):
+        g2, mean_n, error = evaluate_grid(grid_columns(rows), "MasterEquation", threads=threads)
+        assert error.tolist() == [message for *_, message in expected]
+        for i, (g2_i, mean_n_i, message) in enumerate(expected):
+            if message:
+                assert math.isnan(g2[i]) and math.isnan(mean_n[i])
+            else:
+                assert (g2[i], mean_n[i]) == (g2_i, mean_n_i)
 
 
 def test_evolve_zero_generator_returns_state():
