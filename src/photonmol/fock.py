@@ -3,10 +3,14 @@
 Basis convention: |n_a, n_b> maps to row index n_a * (n_max_b + 1) + n_b,
 i.e. mode A is the slow (outer) index of the Kronecker product. The
 total-excitation space (TotalSpec) keeps the states n_a + n_b <= N of the
-box HilbertSpec(N, N), in the box's order.
+box HilbertSpec(N, N), in the box's order. mode_annihilators() builds the
+ladders of either space on that space's own basis; the Kronecker toolkit
+(destroy, create, identity, tensor, mode_operator) embeds single-mode
+operators in a box.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +62,9 @@ class TotalSpec:
     """Two-mode Fock space truncated in the total photon number: the states
     |n_a, n_b> with n_a + n_b <= n_total, ordered as in box (mode A slow).
 
-    Its generator is the box generator restricted to these states (see
-    model._liouvillian_table()); there are no ladder operators of its own.
+    Every state keeps the states one photon below it, so the ladders of
+    mode_annihilators() are exact here, and the generator built from them
+    equals the box generator restricted to these states.
     """
 
     n_total: int
@@ -126,13 +131,21 @@ def mode_operator(spec: HilbertSpec, mode: str, op: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def mode_annihilators(spec: HilbertSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The embedded annihilation operators (a, b) of both modes.
+def mode_annihilators(spec: HilbertSpec | TotalSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The annihilation operators (a, b) of both modes on spec's basis:
+    a|n_a, n_b> = sqrt(n_a) |n_a - 1, n_b>, and b the same way. Every state
+    of either space keeps the state one photon below it in each mode.
 
     Cached per space and shared between callers, so both are read-only.
     """
-    a = mode_operator(spec, "a", destroy(spec.n_max_a))
-    b = mode_operator(spec, "b", destroy(spec.n_max_b))
+    states = [spec.occupations(i) for i in range(spec.dim)]
+    index = {state: i for i, state in enumerate(states)}
+    a, b = np.zeros((2, spec.dim, spec.dim), dtype=complex)
+    for column, (n_a, n_b) in enumerate(states):
+        if n_a:
+            a[index[n_a - 1, n_b], column] = math.sqrt(n_a)
+        if n_b:
+            b[index[n_a, n_b - 1], column] = math.sqrt(n_b)
     a.setflags(write=False)
     b.setflags(write=False)
     return a, b

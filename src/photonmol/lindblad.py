@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.linalg
 
-from .errors import SolverError
+from .errors import SolverError, check_number
 # mode_annihilators is not called here; perfbench's tracer looks it up here.
 from .fock import HilbertSpec, TotalSpec, mode_annihilators  # noqa: F401
 from .model import PARAM_FIELDS, hermitian_entries, hermitian_maps, unvec, vec
@@ -129,14 +129,26 @@ class Observables:
 
 
 def steady_state(liouv: np.ndarray) -> np.ndarray:
-    """Unique steady density matrix of a complex generator.
+    """Unique steady density matrix of a dense complex generator on d states,
+    a d^2 x d^2 array, as a complex d x d array.
 
     The generator, which must preserve Hermiticity, is mapped onto the real
-    coordinates of hermitian_maps() and solved by hermitian_steady_state().
+    coordinates of hermitian_maps() and solved by _steady_coordinates() on
+    single-threaded BLAS; the caller's BLAS thread counts are restored on
+    return.
     """
-    to_real, to_vec = hermitian_maps(int(round(math.sqrt(liouv.shape[0]))))
+    dim = math.isqrt(liouv.shape[0]) if liouv.ndim == 2 else 0
+    size = dim * dim
+    if dim == 0 or liouv.shape != (size, size):
+        raise ValueError(f"generator must be a d^2 x d^2 array, got shape {liouv.shape}")
+    to_real, to_vec = hermitian_maps(dim)
     real = np.asfortranarray(((to_real @ liouv) @ to_vec).real)
-    return hermitian_steady_state(real, float(np.max(np.abs(liouv), initial=0.0)))
+    if not np.isfinite(real[1:]).all():  # row 0 becomes the trace row
+        raise SolverError(_NOT_FINITE)
+    scale = float(np.max(np.abs(liouv), initial=0.0))
+    with _single_threaded_blas, np.errstate(all="ignore"):
+        solution = _steady_coordinates(real, np.empty((size, size), order="F"), scale)
+    return unvec(to_vec @ solution)
 
 
 def _fill_trace_system(system: np.ndarray, liouv_h: np.ndarray, dim: int) -> np.ndarray:
@@ -147,22 +159,6 @@ def _fill_trace_system(system: np.ndarray, liouv_h: np.ndarray, dim: int) -> np.
     system[0, :] = 0.0
     system[0, :dim] = 1.0
     return system
-
-
-def hermitian_steady_state(liouv_h: np.ndarray, scale: float) -> np.ndarray:
-    """Unique steady density matrix of a generator given in the real
-    coordinates of hermitian_maps(), as a complex dim x dim array.
-
-    scale is max |L| over the complex generator's entries. The solve is
-    _steady_coordinates(), on single-threaded BLAS; the caller's BLAS
-    thread counts are restored on return.
-    """
-    size = liouv_h.shape[0]
-    if not np.isfinite(liouv_h[1:]).all():  # row 0 becomes the trace row
-        raise SolverError(_NOT_FINITE)
-    with _single_threaded_blas, np.errstate(all="ignore"):
-        solution = _steady_coordinates(liouv_h, np.empty((size, size), order="F"), scale)
-    return unvec(hermitian_maps(math.isqrt(size))[1] @ solution)
 
 
 def _steady_coordinates(liouv_h: np.ndarray, work: np.ndarray, scale: float) -> np.ndarray:
@@ -311,6 +307,9 @@ def evolve(
     steady_state(); used as its cross-check oracle. Like steady_state(),
     it runs on single-threaded BLAS and restores the caller's BLAS thread
     counts on return."""
+    for name, value in (("t_final", t_final), ("dt", dt)):
+        if not math.isfinite(check_number(value, name)):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_final < 0:

@@ -158,15 +158,18 @@ def symmetric_params(
     )
 
 
-def hamiltonian(params: SystemParams, spec: HilbertSpec) -> np.ndarray:
+def hamiltonian(params: SystemParams, spec: HilbertSpec | TotalSpec) -> np.ndarray:
     """Rotating-frame Hamiltonian: detunings, beam-splitter coupling, Kerr
-    terms and coherent drives on both modes. Hermitian by construction."""
+    terms and coherent drives on both modes. Each ladder product lowers
+    before it raises, so H is exact and Hermitian on a total space's top
+    shell too; a @ b' would not be, as b' raises out of the space."""
     a, b = mode_annihilators(spec)
     ad, bd = a.conj().T, b.conj().T
+    hop = ad @ b
     h = (
         params.delta_a * (ad @ a)
         + params.delta_b * (bd @ b)
-        + params.coupling_j * (a @ bd + ad @ b)
+        + params.coupling_j * (hop + hop.conj().T)
         + params.u_a * (ad @ ad @ a @ a)
         + params.u_b * (bd @ bd @ b @ b)
     )
@@ -211,12 +214,12 @@ def _liouvillian_table(spec: HilbertSpec | TotalSpec) -> tuple[np.ndarray, scipy
     coefficients. Built from the nonzeros of the Kronecker factors, never
     a dense generator. The sparse product runs without BLAS, so its
     result does not depend on the BLAS thread count. Cached and shared
-    between callers, who must not modify it.
+    between callers, who must not modify it. The products are those of
+    hamiltonian(), exact on either space.
     """
-    if isinstance(spec, TotalSpec):
-        return _restricted_table(spec)
     a, b = mode_annihilators(spec)
     ad, bd = a.conj().T, b.conj().T
+    hop = ad @ b
     eye = np.eye(spec.dim, dtype=complex)
 
     def commutator(op):  # rho -> -i [op, rho]
@@ -228,7 +231,7 @@ def _liouvillian_table(spec: HilbertSpec | TotalSpec) -> tuple[np.ndarray, scipy
 
     generators = [
         commutator(op) for op in (
-            ad @ a, bd @ b, a @ bd + ad @ b, ad @ ad @ a @ a, bd @ bd @ b @ b,
+            ad @ a, bd @ b, hop + hop.conj().T, ad @ ad @ a @ a, bd @ bd @ b @ b,
             ad + a, 1j * (ad - a), bd + b, 1j * (bd - b),
         )
     ] + [dissipator(a), dissipator(b)]
@@ -249,28 +252,6 @@ def _liouvillian_table(spec: HilbertSpec | TotalSpec) -> tuple[np.ndarray, scipy
     table.eliminate_zeros()
     positions.setflags(write=False)
     return positions, table
-
-
-def _restricted_table(spec: TotalSpec) -> tuple[np.ndarray, scipy.sparse.csr_array]:
-    """_liouvillian_table() of a total-excitation space: the rows of the box
-    table at the entries whose row and column both index density-matrix
-    elements between kept states. This is exact: between kept states each
-    box generator equals the untruncated one, since the intermediate states
-    of its operator products (a kept state with a photon removed, or moved
-    to the other mode) lie in the box. Products of ladders projected onto
-    the kept states would not be Hermitian on the top shell."""
-    positions, table = _liouvillian_table(spec.box)
-    box_dim, kept = spec.box.dim, spec.box_indices()
-    box_size, size = box_dim**2, spec.dim**2
-    # vec index of rho_ij: i + j * dim, in the box and in the kept space.
-    new_index = np.full(box_size, -1)
-    new_index[(kept[:, None] + kept[None, :] * box_dim).ravel(order="F")] = np.arange(size)
-    rows, cols = (new_index[part] for part in np.divmod(positions, box_size))
-    keep = np.flatnonzero((rows >= 0) & (cols >= 0))
-    # new_index preserves order, so the positions stay sorted
-    kept_positions = rows[keep] * size + cols[keep]
-    kept_positions.setflags(write=False)
-    return kept_positions, table[keep]
 
 
 def _liouvillian_coefficients(params) -> np.ndarray:
@@ -366,10 +347,11 @@ def _hermitian_table(spec: HilbertSpec | TotalSpec) -> tuple[np.ndarray, scipy.s
 
 def hermitian_entries(params, spec: HilbertSpec | TotalSpec
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """hermitian_liouvillian() as its nonzero entries: the column-major flat
-    indices of the real generator's structurally nonzero entries, the
-    generator's values there, and max |L| over the complex generator's
-    entries, which scales the steady-state residual tolerance.
+    """The generator in the real coordinates of hermitian_maps(), as its
+    nonzero entries: the column-major flat indices of the real generator's
+    structurally nonzero entries, the generator's values there, and max |L|
+    over the complex generator's entries, which scales the steady-state
+    residual tolerance. No dense generator is built.
 
     params is a SystemParams, or any object whose PARAM_FIELDS attributes
     are equal-length arrays (a grid's field columns); then values holds one
@@ -380,17 +362,3 @@ def hermitian_entries(params, spec: HilbertSpec | TotalSpec
     positions, table = _hermitian_table(spec)
     entries = _liouvillian_table(spec)[1] @ coefficients
     return positions, table @ coefficients, np.max(np.abs(entries), axis=0, initial=0.0)
-
-
-def hermitian_liouvillian(params: SystemParams, spec: HilbertSpec | TotalSpec
-                          ) -> tuple[np.ndarray, float]:
-    """The generator in the real coordinates of hermitian_maps(), as a fresh
-    real (d^2 x d^2) column-major array assembled from the cached real
-    table, and max |L| over the entries of the complex generator, which
-    scales the steady-state residual tolerance. No dense complex generator
-    is built."""
-    positions, values, scale = hermitian_entries(params, spec)
-    size = spec.dim**2
-    liouv = np.zeros(size * size)
-    liouv[positions] = values
-    return liouv.reshape((size, size), order="F"), float(scale)

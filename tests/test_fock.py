@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from photonmol import HilbertSpec, TotalSpec, create, destroy, identity, mode_operator, tensor
+from photonmol import (
+    HilbertSpec,
+    TotalSpec,
+    create,
+    destroy,
+    identity,
+    mode_annihilators,
+    mode_operator,
+    tensor,
+)
 
 
 def test_destroy_vacuum_only_space():
@@ -154,3 +163,23 @@ def test_total_space_keeps_the_box_states_up_to_the_total_cutoff(n_total):
 def test_total_space_rejects_a_bad_cutoff(n_total):
     with pytest.raises(ValueError, match="cutoff"):
         TotalSpec(n_total)
+
+
+@pytest.mark.parametrize("n_max_a", range(5))
+@pytest.mark.parametrize("n_max_b", range(5))
+def test_box_ladders_are_the_embedded_single_mode_ladders(n_max_a, n_max_b):
+    spec = HilbertSpec(n_max_a, n_max_b)
+    a, b = mode_annihilators(spec)
+    assert np.array_equal(a, mode_operator(spec, "a", destroy(n_max_a)))
+    assert np.array_equal(b, mode_operator(spec, "b", destroy(n_max_b)))
+    assert a.dtype == b.dtype == complex
+
+
+@pytest.mark.parametrize("n_total", range(6))
+def test_total_space_ladders_are_the_box_ladders_between_kept_states(n_total):
+    # Exact, because every kept state keeps the state one photon below it.
+    spec = TotalSpec(n_total)
+    kept = np.ix_(spec.box_indices(), spec.box_indices())
+    a, b = mode_annihilators(spec)
+    assert np.array_equal(a, mode_operator(spec.box, "a", destroy(n_total))[kept])
+    assert np.array_equal(b, mode_operator(spec.box, "b", destroy(n_total))[kept])

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -32,10 +33,9 @@ from photonmol.lindblad import (
     _openblas_controls,
     _photon_numbers,
     _single_threaded_blas,
-    hermitian_steady_state,
     master_equation_grid,
 )
-from photonmol.model import PARAM_FIELDS, hermitian_liouvillian
+from photonmol.model import PARAM_FIELDS
 
 SPEC = HilbertSpec(3, 3)
 
@@ -100,6 +100,12 @@ def test_steady_state_rejects_a_large_residual(monkeypatch):
     assert error.tolist() == [str(raised.value)] * 2
 
 
+@pytest.mark.parametrize("shape", [(5, 5), (4, 6), (16,), (0, 0), (4, 4, 4)])
+def test_steady_state_rejects_a_generator_of_the_wrong_shape(shape):
+    with pytest.raises(ValueError, match=f"got shape {re.escape(str(shape))}"):
+        steady_state(np.zeros(shape, dtype=complex))
+
+
 def complex_steady_state(liouv):
     """The steady-state solve as it was before the real coordinates: a
     complex LU of the full generator. Kept verbatim as the reference."""
@@ -156,16 +162,6 @@ def test_master_equation_point_matches_the_complex_solve(n_max):
         assert reference.mean_n_a > 1e-14
         assert mean_n == pytest.approx(reference.mean_n_a, rel=1e-9, abs=0.0)
         assert g2 == pytest.approx(reference.g2_a, rel=1e-9, abs=0.0)
-
-
-@pytest.mark.parametrize("n_max", [2, 3, 4])
-def test_steady_state_of_a_dense_generator_matches_evaluate_point(n_max):
-    spec = HilbertSpec(n_max, n_max)
-    for params in asymmetric_dual_drive_points(71 + n_max, 4):
-        g2, mean_n = evaluate_point(params, "MasterEquation", n_max)
-        obs = observables(steady_state(liouvillian(params, spec)), spec)
-        assert obs.mean_n_a == pytest.approx(mean_n, rel=1e-12, abs=0.0)
-        assert obs.g2_a == pytest.approx(g2, rel=1e-12, abs=0.0)
 
 
 def operator_observables(rho, spec):
@@ -232,8 +228,9 @@ def test_master_equation_point_reads_the_populations_of_the_dense_solve(n_max):
     # The grid kernel reads the populations from the solution's diagonal
     # coordinates, observables() from the density matrix: the same bits.
     spec = HilbertSpec(n_max, n_max)
-    for params in asymmetric_dual_drive_points(97 + n_max, 6):
-        obs = observables(hermitian_steady_state(*hermitian_liouvillian(params, spec)), spec)
+    for params in [*asymmetric_dual_drive_points(97 + n_max, 6),
+                   *asymmetric_dual_drive_points(71 + n_max, 4)]:
+        obs = observables(steady_state(liouvillian(params, spec)), spec)
         assert evaluate_point(params, "MasterEquation", n_max) == (obs.g2_a, obs.mean_n_a)
 
 
@@ -280,6 +277,10 @@ def check_failures_spare_the_neighbours(failing, n_max, threads):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_master_equation_grid_records_failures_and_spares_the_neighbours(threads):
     check_failures_spare_the_neighbours(FAILING_POINTS, 3, threads)
+    for params, message in FAILING_POINTS:  # the dense path fails alike
+        with pytest.raises(SolverError) as raised:
+            steady_state(liouvillian(params, SPEC))
+        assert str(raised.value) == message
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -388,6 +389,22 @@ def test_evolve_input_validation():
         evolve(liouv, vacuum(), t_final=1.0, dt=0.0)
     with pytest.raises(ValueError):
         evolve(liouv, vacuum(), t_final=-1.0, dt=0.1)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", ["t_final", "dt"])
+def test_evolve_rejects_a_non_finite_time(name, value):
+    # An infinite dt used to return rho0 unchanged, and a NaN failed on int().
+    times = {"t_final": 5.0, "dt": 0.1, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        evolve(np.zeros((SPEC.dim**2, SPEC.dim**2), dtype=complex), vacuum(), **times)
+
+
+@pytest.mark.parametrize("name", ["t_final", "dt"])
+def test_evolve_rejects_a_time_that_is_not_a_number(name):
+    times = {"t_final": 5.0, "dt": 0.1, name: "1.0"}
+    with pytest.raises(ValueError, match=f"{name} must be a number"):
+        evolve(np.zeros((SPEC.dim**2, SPEC.dim**2), dtype=complex), vacuum(), **times)
 
 
 def test_observables_vacuum_flags_g2():

@@ -6,6 +6,7 @@ import pytest
 from photonmol import (
     HilbertSpec,
     SystemParams,
+    TotalSpec,
     drive_ratios,
     hamiltonian,
     liouvillian,
@@ -16,7 +17,7 @@ from photonmol import (
     vec,
     wrap_phase,
 )
-from photonmol.model import apply_axis, hermitian_liouvillian
+from photonmol.model import apply_axis, hermitian_entries
 
 SPEC = HilbertSpec(3, 3)
 
@@ -200,19 +201,40 @@ def hermitian_coordinates(liouv, dim):
     return np.array(rows).reshape(dim * dim, dim * dim)
 
 
+def dense_hermitian_generator(params, spec):
+    """hermitian_entries() scattered into a dense real column-major array."""
+    positions, values, scale = hermitian_entries(params, spec)
+    size = spec.dim**2
+    liouv_h = np.zeros(size * size)
+    liouv_h[positions] = values
+    return liouv_h.reshape((size, size), order="F"), scale
+
+
 def test_hermitian_liouvillian_matches_kronecker_formula():
     rng = np.random.default_rng(59)
-    for n_max_a in range(5):
-        for n_max_b in range(5):
-            spec = HilbertSpec(n_max_a, n_max_b)
-            params = random_params(rng)
-            reference = kron_liouvillian(params, spec)
-            scale = max(np.max(np.abs(reference)), 1.0)
-            liouv_h, max_abs = hermitian_liouvillian(params, spec)
-            expected = hermitian_coordinates(reference, spec.dim)
-            deviation = np.max(np.abs(liouv_h - expected))
-            assert deviation <= 1e-13 * scale, (spec, deviation)
-            assert max_abs == pytest.approx(np.max(np.abs(reference)), rel=1e-13, abs=0.0)
+    specs = [HilbertSpec(n_max_a, n_max_b) for n_max_a in range(5) for n_max_b in range(5)]
+    for spec in specs + [TotalSpec(n_total) for n_total in range(1, 5)]:
+        params = random_params(rng)
+        reference = kron_liouvillian(params, spec)
+        scale = max(np.max(np.abs(reference)), 1.0)
+        liouv_h, max_abs = dense_hermitian_generator(params, spec)
+        expected = hermitian_coordinates(reference, spec.dim)
+        deviation = np.max(np.abs(liouv_h - expected))
+        assert deviation <= 1e-13 * scale, (spec, deviation)
+        assert max_abs == pytest.approx(np.max(np.abs(reference)), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("n_total", range(6))
+def test_total_space_hamiltonian_is_the_restricted_box_hamiltonian(n_total):
+    # The hop is built as a'b plus its adjoint; a @ b' would drop the top shell.
+    spec = TotalSpec(n_total)
+    kept = np.ix_(spec.box_indices(), spec.box_indices())
+    rng = np.random.default_rng(137 + n_total)
+    for _ in range(3):
+        params = random_params(rng)
+        h = hamiltonian(params, spec)
+        assert np.array_equal(h, h.conj().T)
+        assert np.array_equal(h, hamiltonian(params, spec.box)[kept])
 
 
 def test_liouvillian_returns_a_fresh_array():
