@@ -164,6 +164,16 @@ def test_master_equation_point_matches_the_complex_solve(n_max):
         assert g2 == pytest.approx(reference.g2_a, rel=1e-9, abs=0.0)
 
 
+@pytest.mark.parametrize("n_max", [2, 3, 4])
+def test_steady_state_of_a_dense_generator_matches_evaluate_point(n_max):
+    spec = HilbertSpec(n_max, n_max)
+    for params in asymmetric_dual_drive_points(71 + n_max, 4):
+        g2, mean_n = evaluate_point(params, "MasterEquation", n_max)
+        obs = observables(steady_state(liouvillian(params, spec)), spec)
+        assert obs.mean_n_a == pytest.approx(mean_n, rel=1e-12, abs=0.0)
+        assert obs.g2_a == pytest.approx(g2, rel=1e-12, abs=0.0)
+
+
 def operator_observables(rho, spec):
     """observables() as it was before it read the populations: traces of
     the operator products, per mode (g2, mean n). Kept as the reference."""
@@ -228,8 +238,7 @@ def test_master_equation_point_reads_the_populations_of_the_dense_solve(n_max):
     # The grid kernel reads the populations from the solution's diagonal
     # coordinates, observables() from the density matrix: the same bits.
     spec = HilbertSpec(n_max, n_max)
-    for params in [*asymmetric_dual_drive_points(97 + n_max, 6),
-                   *asymmetric_dual_drive_points(71 + n_max, 4)]:
+    for params in asymmetric_dual_drive_points(97 + n_max, 6):
         obs = observables(steady_state(liouvillian(params, spec)), spec)
         assert evaluate_point(params, "MasterEquation", n_max) == (obs.g2_a, obs.mean_n_a)
 
