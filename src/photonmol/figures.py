@@ -223,7 +223,7 @@ def figure(
 
     count overrides the default grid resolution (101 for the heatmaps and
     fig5, 201 for the cuts, 21 for the optimizer curves) and must be an
-    integer of at least 2. threads splits the grid as in evaluate_grid; the
+    integer of at least 2. threads shares the grid as in evaluate_grid; the
     optimizer curves run on one thread. Returns the written paths.
     """
     if name not in FIGURE_NAMES:

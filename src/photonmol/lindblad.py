@@ -252,17 +252,16 @@ def _solve_points(columns: dict, spec) -> tuple[np.ndarray, np.ndarray, np.ndarr
     One kernel: the generators' values come from one sparse product per
     table and block of _TABLE_BLOCK points. Each point scatters its values
     into one dense generator, which keeps its zeros from point to point,
-    and is solved by _steady_coordinates() in one reused work array. The
-    whole call runs on single-threaded BLAS.
+    and is solved by _steady_coordinates() in one reused work array; both
+    are the calling thread's _kernel_buffers(). The whole call runs on
+    single-threaded BLAS.
     """
     dim = spec.dim
     size = dim * dim
     count = len(columns["delta_a"])
     g2, mean_n, share = np.full(count, np.nan), np.full(count, np.nan), np.full(count, np.nan)
     error = np.full(count, "", dtype=object)
-    flat = np.zeros(size * size)
-    liouv_h = flat.reshape((size, size), order="F")  # a view of flat
-    work = np.empty((size, size), order="F")
+    flat, liouv_h, work = _kernel_buffers(spec)
     # A strided vector, as the diagonal of a complex rho is: BLAS sums a
     # strided dot product in another order than a contiguous one, and
     # observables() reads rho's diagonal, so both give the same bits.
@@ -296,6 +295,41 @@ def _solve_points(columns: dict, spec) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return g2, mean_n, error, share
 
 
+# Each thread's _kernel_buffers cache, made on its first master-equation
+# point and freed with the thread.
+_thread_buffers = threading.local()
+
+# Largest space whose kernel buffers a thread keeps (two 8 MB arrays at 32
+# states). Past it the solve dwarfs paging in fresh arrays (a box-5 point:
+# 1,419 faults in 49 ms), while keeping them would hold 27 MB (box 5) to
+# 690 MB (box 8) for the life of the thread.
+_KEPT_BUFFERS_DIM = 32
+
+
+def _kernel_buffers(spec: HilbertSpec | TotalSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(flat, liouv_h, work): _solve_points()'s dense generator in spec, as
+    a flat array and as a column-major square view of it, and its
+    column-major work array. Kept per thread for the last 16 spaces of at
+    most _KEPT_BUFFERS_DIM states, as the per-space tables are kept, so a
+    lone point does not page in two fresh arrays (2 x 512 KB in box 3).
+    Reuse is exact: every point rewrites all of its space's structural
+    entries, so the rest of flat stays zero, and _steady_coordinates()
+    overwrites all of work."""
+    if spec.dim > _KEPT_BUFFERS_DIM:
+        return _new_kernel_buffers(spec)
+    try:
+        cached = _thread_buffers.cached
+    except AttributeError:
+        cached = _thread_buffers.cached = functools.lru_cache(maxsize=16)(_new_kernel_buffers)
+    return cached(spec)
+
+
+def _new_kernel_buffers(spec: HilbertSpec | TotalSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    size = spec.dim**2
+    flat = np.zeros(size * size)
+    return flat, flat.reshape((size, size), order="F"), np.empty((size, size), order="F")
+
+
 def evolve(
     liouv: np.ndarray,
     rho0: np.ndarray,
@@ -303,10 +337,11 @@ def evolve(
     dt: float,
 ) -> np.ndarray:
     """Propagate a density matrix with a classical fourth-order Runge-Kutta
-    scheme, renormalizing the trace after every step. Independent of
-    steady_state(); used as its cross-check oracle. Like steady_state(),
-    it runs on single-threaded BLAS and restores the caller's BLAS thread
-    counts on return."""
+    scheme, renormalizing the trace after every step. liouv is a d^2 x d^2
+    generator and rho0 a d x d matrix. Independent of steady_state(); used
+    as its cross-check oracle. Like steady_state(), it runs on
+    single-threaded BLAS and restores the caller's BLAS thread counts on
+    return."""
     for name, value in (("t_final", t_final), ("dt", dt)):
         if not math.isfinite(check_number(value, name)):
             raise ValueError(f"{name} must be finite, got {value!r}")
@@ -314,7 +349,10 @@ def evolve(
         raise ValueError("dt must be positive")
     if t_final < 0:
         raise ValueError("t_final must be non-negative")
-    dim = rho0.shape[0]
+    dim = rho0.shape[0] if rho0.ndim == 2 else 0
+    if dim == 0 or rho0.shape != (dim, dim) or liouv.shape != (dim * dim, dim * dim):
+        raise ValueError(f"generator and rho0 must be d^2 x d^2 and d x d arrays, "
+                         f"got shapes {liouv.shape} and {rho0.shape}")
     v = vec(rho0.astype(complex))
 
     n_full, remainder = divmod(t_final, dt)

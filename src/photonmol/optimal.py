@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 
 from .errors import SolverError, check_int
 from .model import symmetric_params
@@ -198,6 +197,8 @@ def dual_drive_optimum_exact_phi0(
     poly, poly_d, u_of = _u_eliminated_polynomial(
         np.longdouble(kappa), np.longdouble(j), np.longdouble(eta)
     )
+    from scipy.optimize import brentq  # on first use: slower to import than photonmol
+
     grid = np.linspace(2.0 * j / samples, 2.0 * j, samples)
     values = poly(grid.astype(np.longdouble)).astype(float)
 
@@ -265,6 +266,8 @@ def numeric_optimum(
     again from the analytic optimum (exact at phi = 0 if it has u > 0, else
     asymptotic; u clipped to the cap); the lower g2 wins, the first on a tie.
     """
+    from scipy.optimize import minimize  # on first use: slower to import than photonmol
+
     solver = normalize_solver(solver)
     _check_coupling(j)
     check_int(grid_points, 2, "grid_points")

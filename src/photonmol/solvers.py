@@ -13,7 +13,8 @@ Solver ids (as used in JSON configs and on the command line):
 Each solver has one kernel, which answers a batch of points (_kernel).
 evaluate_point is a batch of one. evaluate_grid is the one grid evaluator
 (sweeps, figure recipes and the optimizer's coarse grid all call it) and
-the package's one thread pool: threads split a grid in chunks.
+the package's one thread pool: it cuts a grid in chunks of GRID_CHUNK
+points, and threads share the chunks of a grid larger than one chunk.
 """
 
 import math
@@ -49,9 +50,12 @@ DEFAULT_N_MAX = 3
 
 _DEFAULT_SPACES = (TotalSpec(DEFAULT_N_MAX), TotalSpec(DEFAULT_N_MAX + 1))
 
-# Points per stacked solve in evaluate_grid. Bounds its temporary arrays
-# under 1 MB however large the grid; a 64x64 grid solves as fast in four
-# chunks as in one stack of 4096, which needs 3.3 MB.
+# Points per stacked solve in evaluate_grid, and per task of its thread
+# pool. Bounds its temporary arrays under 1 MB however large the grid; a
+# 64x64 grid solves as fast in four chunks as in one stack of 4096, which
+# needs 3.3 MB. A grid is never cut finer for more threads: LAPACK's getrf
+# and getrs hold the interpreter lock, so a second thread gains nothing on a
+# master-equation grid, and on a 4x4 grid starting the pool made it slower.
 GRID_CHUNK = 1024
 
 
@@ -107,10 +111,11 @@ def evaluate_grid(points: Mapping[str, object], solver: str, n_max: int | None =
     elsewhere; g2 is NaN there and where evaluate_point returns None, mean
     n there.
 
-    n_max is read as by evaluate_point. threads workers, at most one per
-    CPU, share chunks of at most GRID_CHUNK points. The solver's kernel
-    answers a chunk in one call, as it answers evaluate_point's batch of
-    one. The values do not depend on threads.
+    n_max is read as by evaluate_point. The grid is cut in chunks of
+    GRID_CHUNK points, whatever threads is; the solver's kernel answers a
+    chunk in one call, as it answers evaluate_point's batch of one. A grid
+    of one chunk runs on the calling thread; a larger one is shared by
+    min(threads, chunks, CPUs) workers. The values do not depend on threads.
     """
     kernel = _kernel(solver, n_max)  # a bad cutoff fails the call, not each point
     check_int(threads, 1, "threads")
@@ -133,8 +138,7 @@ def evaluate_grid(points: Mapping[str, object], solver: str, n_max: int | None =
         g2[chunk], mean_n[chunk], error[chunk] = kernel(SimpleNamespace(**{
             name: column[chunk] for name, column in zip(PARAM_FIELDS, columns)}))
 
-    step = min(GRID_CHUNK, math.ceil(size / threads))
-    chunks = [slice(start, start + step) for start in range(0, size, step)]
+    chunks = [slice(start, start + GRID_CHUNK) for start in range(0, size, GRID_CHUNK)]
     workers = min(threads, len(chunks), os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -568,10 +568,13 @@ def test_grid_rejects_bad_cutoff_for_the_whole_call(solver, n_max):
         evaluate_grid({"delta_a": np.zeros(3), "eps_a": 0.01}, solver, n_max=n_max)
 
 
+# A grid is cut in GRID_CHUNK-point chunks whatever the thread count: more
+# threads share the chunks, they never cut the grid finer.
 @pytest.mark.parametrize("size, threads, chunks", [
-    (16, 2, [8, 8]),
-    (16, 3, [6, 6, 4]),
+    (16, 2, [16]),
+    (16, 3, [16]),
     (GRID_CHUNK + 1, 1, [GRID_CHUNK, 1]),
+    (2 * GRID_CHUNK + 1, 2, [GRID_CHUNK, GRID_CHUNK, 1]),
 ])
 def test_grid_threads_split_the_chunks(monkeypatch, size, threads, chunks):
     seen = []
@@ -642,8 +645,9 @@ def point_outcome(params, solver):
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("solver", [SOLVER_HIERARCHY, SOLVER_FULL_TRUNCATED])
 def test_weak_drive_grid_and_points_share_one_kernel(solver, threads):
-    # GRID_CHUNK + 3 points: threads=1 cuts them after GRID_CHUNK, threads=2
-    # after 514. The failures sit on both sides of both cuts, between good
+    # GRID_CHUNK + 3 points, cut after GRID_CHUNK at either thread count;
+    # threads=2 gives each chunk its own worker. The failures sit at the
+    # start, in the middle and on both sides of the cut, between good
     # points, so each singular matrix shares its chunk with good points.
     rng = np.random.default_rng(211)
     rows = [random_params(rng, symmetric=False) for _ in range(GRID_CHUNK + 3)]
@@ -693,14 +697,33 @@ def test_grid_pool_is_capped_at_the_cpu_count(monkeypatch):
     points = {"delta_a": np.linspace(0.0, 2.0, 16), "coupling_j": 3.0, "eps_a": 0.01}
     serial = evaluate_grid(points, SOLVER_HIERARCHY)
     monkeypatch.setattr(solvers, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(solvers, "GRID_CHUNK", 1)  # 16 one-point chunks
     for cpus, workers in ((3, [3]), (None, []), (64, [16])):
         monkeypatch.setattr(solvers.os, "cpu_count", lambda: cpus)
         requested.clear()
-        # 10000 threads cut the grid in 16 one-point chunks
         capped = evaluate_grid(points, SOLVER_HIERARCHY, threads=10000)
         assert requested == workers
         for want, got in zip(serial, capped):
             assert np.array_equal(want, got, equal_nan=want.dtype != object)
+
+
+@pytest.mark.parametrize("solver, size", [
+    ("MasterEquation", 16), (SOLVER_HIERARCHY, 16), (SOLVER_HIERARCHY, GRID_CHUNK)])
+def test_grid_of_one_chunk_runs_on_the_calling_thread(monkeypatch, solver, size):
+    def no_pool(max_workers):
+        raise RuntimeError("can't start new thread")
+
+    points = {"delta_a": np.linspace(0.0, 2.0, size), "coupling_j": 3.0, "eps_a": 0.01}
+    serial = evaluate_grid(points, solver)
+    monkeypatch.setattr(solvers, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(solvers.os, "cpu_count", lambda: 4)
+    threaded = evaluate_grid(points, solver, threads=4)
+    assert threaded[2].tolist() == [""] * size
+    for want, got in zip(serial, threaded):
+        assert np.array_equal(want, got, equal_nan=want.dtype != object)
+    with pytest.raises(RuntimeError, match="thread"):  # two chunks do start a pool
+        evaluate_grid({**points, "delta_a": np.zeros(GRID_CHUNK + 1)}, SOLVER_HIERARCHY,
+                      threads=4)
 
 
 @pytest.mark.parametrize("solve", [

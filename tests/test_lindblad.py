@@ -1,6 +1,8 @@
 import math
 import re
+import resource
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -221,16 +223,23 @@ def grid_columns(rows):
 
 
 @pytest.mark.parametrize("n_max", [2, 3, 4])
-def test_master_equation_grid_matches_points_bitwise(n_max):
+def test_master_equation_grid_matches_points_bitwise(monkeypatch, n_max):
     # One table block and three points more, so threads=1 crosses a table
-    # block boundary and threads=2 a chunk boundary.
+    # block boundary in one chunk, and threads=2 shares five chunks of at
+    # most 8 points between two workers, switching between them often.
     rows = list(asymmetric_dual_drive_points(89 + n_max, lindblad._TABLE_BLOCK + 3))
     expected = [evaluate_point(params, "MasterEquation", n_max) for params in rows]
-    for threads in (1, 2):
-        g2, mean_n, error = evaluate_grid(grid_columns(rows), "MasterEquation",
-                                          n_max=n_max, threads=threads)
-        assert error.tolist() == [""] * len(rows)
-        assert list(zip(g2.tolist(), mean_n.tolist())) == expected
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads, grid_chunk in ((1, solvers.GRID_CHUNK), (2, 8)):
+            monkeypatch.setattr(solvers, "GRID_CHUNK", grid_chunk)
+            g2, mean_n, error = evaluate_grid(grid_columns(rows), "MasterEquation",
+                                              n_max=n_max, threads=threads)
+            assert error.tolist() == [""] * len(rows)
+            assert list(zip(g2.tolist(), mean_n.tolist())) == expected
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("n_max", [2, 3, 4])
@@ -295,6 +304,55 @@ def test_master_equation_grid_records_failures_and_spares_the_neighbours(threads
 @pytest.mark.parametrize("threads", [1, 2])
 def test_default_space_records_failures_and_spares_the_neighbours(threads):
     check_failures_spare_the_neighbours(DEFAULT_SPACE_FAILING_POINTS, None, threads)
+
+
+def in_a_fresh_thread(function, *args):
+    """function(*args), called in a new thread, which has no kernel buffers yet."""
+    results = []
+    thread = threading.Thread(target=lambda: results.append(function(*args)))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and len(results) == 1
+    return results[0]
+
+
+def test_kernel_buffers_carry_nothing_from_a_failed_point():
+    # The overflowing point scatters its huge entries into the thread's box-3
+    # generator before its solve fails; the next point must not see them.
+    overflow, message = FAILING_POINTS[2]
+    good = next(asymmetric_dual_drive_points(61, 1))
+    fresh = in_a_fresh_thread(evaluate_point, good, "MasterEquation", 3)
+    with pytest.raises(SolverError, match=re.escape(message)):
+        evaluate_point(overflow, "MasterEquation", 3)
+    flat, _, _ = lindblad._kernel_buffers(SPEC)
+    assert np.abs(flat).max() > 1e150
+    assert evaluate_point(good, "MasterEquation", 3) == fresh
+    assert lindblad._kernel_buffers(SPEC)[0] is flat
+
+
+def test_kernel_buffers_are_kept_per_thread_and_space():
+    buffers = lindblad._kernel_buffers(SPEC)
+    assert all(lindblad._kernel_buffers(SPEC)[i] is buffers[i] for i in range(3))
+    assert lindblad._kernel_buffers(TotalSpec(3))[0] is not buffers[0]
+    assert in_a_fresh_thread(lindblad._kernel_buffers, SPEC)[0] is not buffers[0]
+    large = HilbertSpec(5, 5)  # 36 states: its buffers are freed with the call
+    assert large.dim > lindblad._KEPT_BUFFERS_DIM
+    assert lindblad._kernel_buffers(large)[0] is not lindblad._kernel_buffers(large)[0]
+    flat, liouv_h, work = buffers
+    size = SPEC.dim**2
+    assert np.shares_memory(flat, liouv_h) and liouv_h.shape == work.shape == (size, size)
+    assert liouv_h.flags.f_contiguous and work.flags.f_contiguous
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux page faults")
+def test_lone_box_points_page_in_no_fresh_buffers():
+    # Two fresh 512 KB arrays would cost each box-3 point 224 minor faults.
+    points = list(asymmetric_dual_drive_points(67, 6))
+    evaluate_point(points[0], "MasterEquation", 3)  # warm-up: tables and buffers
+    for params in points[1:]:
+        before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+        evaluate_point(params, "MasterEquation", 3)
+        assert resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before < 16
 
 
 @pytest.mark.parametrize("n_total", [1, 2, 3, 4, 5])
@@ -398,6 +456,16 @@ def test_evolve_input_validation():
         evolve(liouv, vacuum(), t_final=1.0, dt=0.0)
     with pytest.raises(ValueError):
         evolve(liouv, vacuum(), t_final=-1.0, dt=0.1)
+
+
+@pytest.mark.parametrize("liouv_shape, rho0_shape", [
+    ((16, 16), (3, 3)), ((81, 81), (9, 9, 1)), ((81, 81), (9, 3)), ((81, 27), (9, 9)),
+    ((81,), (9, 9)), ((0, 0), (0, 0))])
+def test_evolve_rejects_a_state_that_does_not_fit_the_generator(liouv_shape, rho0_shape):
+    message = (f"generator and rho0 must be d^2 x d^2 and d x d arrays, "
+               f"got shapes {liouv_shape} and {rho0_shape}")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        evolve(np.zeros(liouv_shape, dtype=complex), np.zeros(rho0_shape), 1.0, 0.1)
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,8 @@ from photonmol.optimal import (
 )
 
 SQRT3 = math.sqrt(3.0)
+
+SRC = Path(optimal.__file__).resolve().parents[1]
 
 
 class TestSingleDriveOptimum:
@@ -461,6 +467,28 @@ def test_numeric_optimum_pinned(case, expected):
 def test_exact_optimum_pinned(case, expected):
     opt = dual_drive_optimum_exact_phi0(1.0, *case)
     assert (opt.delta_opt.hex(), opt.u_opt.hex()) == expected
+
+
+def test_import_leaves_scipy_optimize_to_the_optimisers():
+    # A fresh interpreter, because this one has imported scipy.optimize.
+    script = (
+        "import sys\n"
+        "import photonmol\n"
+        "print('scipy.optimize' in sys.modules)\n"
+        "opt = photonmol.numeric_optimum(1, 12, 5, 0.3)\n"
+        "exact = photonmol.dual_drive_optimum_exact_phi0(1, 10, 3)\n"
+        "print(opt.delta_opt.hex(), opt.u_opt.hex(), float(opt.g2_min).hex(),\n"
+        "      exact.delta_opt.hex(), exact.u_opt.hex())\n")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    loaded, answers = done.stdout.splitlines()
+    assert loaded == "False"
+    opt = numeric_optimum(1, 12, 5, 0.3)
+    exact = dual_drive_optimum_exact_phi0(1, 10, 3)
+    assert answers.split() == [opt.delta_opt.hex(), opt.u_opt.hex(), float(opt.g2_min).hex(),
+                               exact.delta_opt.hex(), exact.u_opt.hex()]
 
 
 class TestOrderedArgmin:
