@@ -20,7 +20,8 @@ from .amplitude import (
 from .errors import SolverError
 from .fock import (
     HilbertSpec, TotalSpec, create, destroy, identity, mode_annihilators, mode_operator, tensor)
-from .lindblad import Observables, evolve, observables, steady_state, validate_density_matrix
+from .lindblad import (
+    DEFAULT_N_MAX, Observables, evolve, observables, steady_state, validate_density_matrix)
 from .model import (
     DriveRatios,
     SystemParams,
@@ -43,7 +44,6 @@ from .optimal import (
     single_drive_optimum,
 )
 from .solvers import (
-    DEFAULT_N_MAX,
     SOLVER_FULL_TRUNCATED,
     SOLVER_HIERARCHY,
     SOLVER_MASTER_EQUATION,

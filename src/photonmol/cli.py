@@ -11,14 +11,10 @@ import sys
 from ._version import __version__
 from .errors import SolverError
 from .figures import FIGURE_NAMES, figure
+from .lindblad import DEFAULT_N_MAX
 from .model import SystemParams, apply_axis
 from .optimal import numeric_optimum
-from .solvers import (
-    DEFAULT_N_MAX,
-    SOLVER_FULL_TRUNCATED,
-    SOLVER_MASTER_EQUATION,
-    SOLVERS,
-)
+from .solvers import SOLVER_FULL_TRUNCATED, SOLVER_MASTER_EQUATION, SOLVERS
 from .sweep import SweepConfig, run_point, sweep_to_files
 
 

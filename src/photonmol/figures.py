@@ -53,33 +53,33 @@ _DUAL_RULES = ("delta := dual_drive_delta", "u := dual_drive_u")
 _SINGLE_RULES = ("delta := single_drive_delta", "u := single_drive_u")
 
 
-def _sweep_config(name: str, count: int) -> tuple[SweepConfig, dict | None]:
+def _sweep_config(name: str, count: int) -> tuple[SweepConfig, str | None]:
     """SweepConfig of a heatmap (fig1a..fig2b, fig4a, fig4b) or cut (fig4c,
-    fig4d: phi scans at two fixed drive ratios), and the heatmap's reference
-    overlay (None for a cut)."""
+    fig4d: phi scans at two fixed drive ratios), and the two plot-script
+    lines of the heatmap's reference overlay, which sets ref and draws it
+    (None for a cut)."""
     single = single_drive_optimum(_KAPPA, _J_DEFAULT)
     eta, delta = Axis("eta", 1.05, 20.0, count), Axis("delta", 0.0, 5.0, count)
     u = Axis("u", 1e-3, 0.5, count, scale="log")
     phi, eta_inv = Axis("phi", 0.0, math.pi / 2, count), Axis("eta_inv", 0.01, 0.2, count)
     axis1, axis2, constraints, overlay = {
         "fig1a": (eta, delta, ("u := dual_drive_u",),
-                  {"kind": "curve", "code": "ref = 10.0 / xs", "label": "delta = j/eta"}),
+                  'ref = 10.0 / xs\nax.plot(xs, ref, "w--", label="delta = j/eta")'),
         "fig1b": (eta, delta, ("u := single_drive_u",),
-                  {"kind": "hline", "code": f"ref = {single.delta_opt!r}",
-                   "label": "single-drive delta_opt"}),
+                  f"ref = {single.delta_opt!r}\n"
+                  'ax.axhline(ref, color="w", ls="--", label="single-drive delta_opt")'),
         "fig2a": (eta, u, ("delta := dual_drive_delta",),
-                  {"kind": "curve", "code": "ref = 0.5 / 10.0 * xs / (xs**2 - 1.0)",
-                   "label": "dual-drive u_opt"}),
+                  "ref = 0.5 / 10.0 * xs / (xs**2 - 1.0)\n"
+                  'ax.plot(xs, ref, "w--", label="dual-drive u_opt")'),
         "fig2b": (eta, u, ("delta := single_drive_delta",),
-                  {"kind": "hline", "code": f"ref = {single.u_opt!r}",
-                   "label": "single-drive u_opt"}),
+                  f"ref = {single.u_opt!r}\n"
+                  'ax.axhline(ref, color="w", ls="--", label="single-drive u_opt")'),
         "fig4a": (phi, eta_inv, _DUAL_RULES,
-                  {"kind": "curve_x", "code": "ref = np.arctan(1.0 / (2.0 * 10.0 * ys))",
-                   "label": "bunching phase curve"}),
+                  "ref = np.arctan(1.0 / (2.0 * 10.0 * ys))\n"
+                  'ax.plot(ref, ys, "k--", label="bunching phase curve")'),
         "fig4b": (phi, eta_inv, _SINGLE_RULES,
-                  {"kind": "point", "label": "one-photon interference zero",
-                   "code": f"ref = ({math.pi / 3!r}, "
-                           f"{1.0 / (math.sqrt(3.0) * _J_DEFAULT)!r})"}),
+                  f"ref = ({math.pi / 3!r}, {1.0 / (math.sqrt(3.0) * _J_DEFAULT)!r})\n"
+                  'ax.plot([ref[0]], [ref[1]], "wo", label="one-photon interference zero")'),
         "fig4c": (Axis("eta_inv", *_FIG4C_CUTS, 2), phi, _DUAL_RULES, None),
         "fig4d": (Axis("eta_inv", *_FIG4D_CUTS, 2), phi, _SINGLE_RULES, None),
     }[name]
@@ -201,18 +201,6 @@ def _fill(template: str, **tokens) -> str:
     return text
 
 
-def _overlay_lines(overlay: dict) -> str:
-    code = overlay["code"]
-    label = overlay["label"]
-    if overlay["kind"] == "hline":
-        return f'{code}\nax.axhline(ref, color="w", ls="--", label="{label}")'
-    if overlay["kind"] == "curve":
-        return f'{code}\nax.plot(xs, ref, "w--", label="{label}")'
-    if overlay["kind"] == "curve_x":
-        return f'{code}\nax.plot(ref, ys, "k--", label="{label}")'
-    return f'{code}\nax.plot([ref[0]], [ref[1]], "wo", label="{label}")'
-
-
 def figure(
     name: str,
     out_dir,
@@ -278,7 +266,7 @@ def figure(
         else:
             yscale = 'ax.set_yscale("log")' if cfg.axis2.scale == "log" else ""
             script = _fill(_HEATMAP_SCRIPT, NAME=name, AX1=cfg.axis1.parameter,
-                           AX2=cfg.axis2.parameter, OVERLAY=_overlay_lines(overlay),
+                           AX2=cfg.axis2.parameter, OVERLAY=overlay,
                            YSCALE=yscale)
 
     script_path.write_text(script)

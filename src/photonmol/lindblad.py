@@ -1,5 +1,10 @@
 """Exact steady state of the dissipative dynamics and photon-statistics
-observables."""
+observables.
+
+master_equation_grid is the master equation's one kernel, and it decides
+the default space: total cutoff DEFAULT_N_MAX, with a point solved again
+at DEFAULT_N_MAX + 1 when its top shell carries more than TOP_SHELL_LIMIT
+of the g2 numerator."""
 
 import ctypes
 import functools
@@ -31,11 +36,15 @@ _NOT_FINITE = "steady-state system is singular: array must not contain infs or N
 # space N = 3 a point takes 1341 and 891 entries (25 KB).
 _TABLE_BLOCK = 32
 
+# Total cutoff N of the default master-equation space n_a + n_b <= N: one
+# level above the two-photon manifold, where the weak-drive physics lives.
+DEFAULT_N_MAX = 3
+
 # Top-shell share (see _solve_points()) above which master_equation_grid
-# solves a point again one total cutoff higher. With 1e-3 the default
-# space was within 4e-4 of N = 5 in g2 on 7,300 figure-grid points and
-# random draws up to 100x the usual drive; with 1e-2, within 5e-3. The
-# exact antibunching zeros sit at 0.58-0.67.
+# solves a default-space point again at total cutoff DEFAULT_N_MAX + 1.
+# With 1e-3 the default space was within 4e-4 of N = 5 in g2 on 7,300
+# figure-grid points and random draws up to 100x the usual drive; with
+# 1e-2, within 5e-3. The exact antibunching zeros sit at 0.58-0.67.
 TOP_SHELL_LIMIT = 1e-3
 
 # Trace drift per integration step signalling an unstable step size.
@@ -211,34 +220,36 @@ def _steady_coordinates(liouv_h: np.ndarray, work: np.ndarray, scale: float) -> 
     return solution
 
 
-def master_equation_grid(params, spec, escalate_to: TotalSpec | None = None
+def master_equation_grid(params, spec: HilbertSpec | TotalSpec | None = None
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(g2_a, mean_n_a, error) arrays of the steady states at many points.
 
     params is a SystemParams, or any object whose PARAM_FIELDS attributes are
     equal-length arrays (a grid's field columns), checked as SystemParams does.
-    spec is a HilbertSpec or a TotalSpec. error holds the SolverError message
-    of a failed point, "" elsewhere; g2 is NaN there and where the
-    correlation is undefined, mean n there.
+    error holds the SolverError message of a failed point, "" elsewhere; g2
+    is NaN there and where the correlation is undefined, mean n there.
 
-    With escalate_to (spec a TotalSpec then), a point whose top-shell share
-    (see _solve_points()) exceeds TOP_SHELL_LIMIT is solved again in
-    escalate_to, and fails if its share there still exceeds it. Each point
-    escalates on its own, so the values do not depend on how a grid is split.
+    spec None is the default space, decided here: total cutoff
+    DEFAULT_N_MAX, where a point whose top-shell share (see _solve_points())
+    exceeds TOP_SHELL_LIMIT is solved again at DEFAULT_N_MAX + 1, and fails
+    if its share there still exceeds it. Each point escalates on its own, so
+    the values do not depend on how a grid is split. A HilbertSpec or
+    TotalSpec is that space alone.
     """
     columns = {name: np.atleast_1d(getattr(params, name)) for name in PARAM_FIELDS}
-    g2, mean_n, error, share = _solve_points(columns, spec)
-    if escalate_to is None:
-        return g2, mean_n, error
+    if spec is not None:
+        return _solve_points(columns, spec)[:3]
+    g2, mean_n, error, share = _solve_points(columns, TotalSpec(DEFAULT_N_MAX))
     redo = np.flatnonzero(share > TOP_SHELL_LIMIT)
     if redo.size:
         g2[redo], mean_n[redo], error[redo], share = _solve_points(
-            {name: column[redo] for name, column in columns.items()}, escalate_to)
+            {name: column[redo] for name, column in columns.items()},
+            TotalSpec(DEFAULT_N_MAX + 1))
         above = share > TOP_SHELL_LIMIT
         g2[redo[above]] = mean_n[redo[above]] = math.nan
         error[redo[above]] = [
             f"truncation not converged: top-shell share {value:.3e} at total "
-            f"cutoff {escalate_to.n_total} exceeds {TOP_SHELL_LIMIT:g}" for value in share[above]]
+            f"cutoff {DEFAULT_N_MAX + 1} exceeds {TOP_SHELL_LIMIT:g}" for value in share[above]]
     return g2, mean_n, error
 
 
@@ -266,8 +277,9 @@ def _solve_points(columns: dict, spec) -> tuple[np.ndarray, np.ndarray, np.ndarr
     # strided dot product in another order than a contiguous one, and
     # observables() reads rho's diagonal, so both give the same bits.
     populations = np.empty((dim, 2))[:, 0]
-    moments_a = _photon_numbers(spec)[0]
-    top_pairs = _top_shell_pairs(spec) if isinstance(spec, TotalSpec) else None
+    (n_a, pairs_a), (n_b, _) = _photon_numbers(spec)
+    top_pairs = (np.where(n_a + n_b == spec.n_total, pairs_a, 0.0)
+                 if isinstance(spec, TotalSpec) else None)
     with _single_threaded_blas, np.errstate(all="ignore"):
         for start in range(0, count, _TABLE_BLOCK):
             block = slice(start, start + _TABLE_BLOCK)
@@ -287,10 +299,10 @@ def _solve_points(columns: dict, spec) -> tuple[np.ndarray, np.ndarray, np.ndarr
                     error[i] = str(err)
                     continue
                 populations[:] = solution[:dim]
-                mean_n[i], g2_i = _moments(populations, *moments_a)
+                mean_n[i], g2_i = _moments(populations, n_a, pairs_a)
                 g2[i] = math.nan if g2_i is None else g2_i
                 if top_pairs is not None:
-                    total = populations @ moments_a[1]
+                    total = populations @ pairs_a
                     share[i] = populations @ top_pairs / total if total > 0.0 else 0.0
     return g2, mean_n, error, share
 
@@ -386,16 +398,6 @@ def _photon_numbers(spec: HilbertSpec | TotalSpec) -> np.ndarray:
     weights = np.stack([counts, counts * (counts - 1)], axis=1).astype(float)
     weights.setflags(write=False)
     return weights
-
-
-@functools.lru_cache(maxsize=16)
-def _top_shell_pairs(spec: TotalSpec) -> np.ndarray:
-    """n_a(n_a-1) of each basis state with n_a + n_b = spec.n_total, 0.0 on
-    the others. Cached per space and shared between callers, so read-only."""
-    (n_a, pairs_a), (n_b, _) = _photon_numbers(spec)
-    pairs = np.where(n_a + n_b == spec.n_total, pairs_a, 0.0)
-    pairs.setflags(write=False)
-    return pairs
 
 
 def _moments(populations: np.ndarray, n: np.ndarray, pairs: np.ndarray):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError, check_int
+from .errors import SolverError, check_int, check_number
 from .model import symmetric_params
 from .solvers import (
     SOLVER_FULL_TRUNCATED,
@@ -64,16 +64,27 @@ class BunchingCondition:
     eta_inv_star: float
 
 
-def _check_coupling(j: float) -> None:
-    """ValueError unless j > 0: every condition here divides by j."""
+def _check_inputs(kappa: float, j: float, **values: float) -> None:
+    """The input rule of every optimum here: ValueError unless kappa is a
+    positive, finite number, j a positive number (every condition divides
+    by j) and each of values (eta, delta) a number other than NaN; an
+    infinite eta is mode A driven alone. Checks without converting: the
+    sweep rules call these functions at every point."""
+    check_number(kappa, "kappa")
+    if not 0 < kappa < math.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa!r}")
+    check_number(j, "coupling strength j")
     if not j > 0:
         raise ValueError("coupling strength j must be positive")
+    for name, value in values.items():
+        if math.isnan(check_number(value, name)):
+            raise ValueError(f"{name} must not be NaN")
 
 
 def single_drive_optimum(kappa: float, j: float, branch: str = "+") -> OptimalPoint:
     """Strong-coupling antibunching optimum when only mode A is driven:
     delta_opt = +-kappa/(2 sqrt(3)), u_opt = +-(2/(3 sqrt(3))) kappa^3/j^2."""
-    _check_coupling(j)
+    _check_inputs(kappa, j)
     if branch not in ("+", "-"):
         raise ValueError("branch must be '+' or '-'")
     if j < 5 * kappa:
@@ -93,7 +104,7 @@ def single_drive_optimum(kappa: float, j: float, branch: str = "+") -> OptimalPo
 def dual_drive_optimum_asymptotic(kappa: float, j: float, eta: float) -> OptimalPoint:
     """Strong-coupling antibunching optimum with both modes driven in phase:
     delta_opt = j/eta, u_opt = (kappa^2/2j) * eta/(eta^2 - 1)."""
-    _check_coupling(j)
+    _check_inputs(kappa, j, eta=eta)
     if eta <= 1:
         raise ValueError(
             "dual-drive optimum requires eta > 1 (the Kerr strength diverges "
@@ -190,7 +201,7 @@ def dual_drive_optimum_exact_phi0(
     nearest the asymptotic seed (j/eta, ...). Both determinant conditions
     are verified to a relative residual of 1e-10.
     """
-    _check_coupling(j)
+    _check_inputs(kappa, j, eta=eta)
     if eta <= 1:
         raise ValueError("exact dual-drive optimum requires eta > 1")
     check_int(samples, 2, "samples")
@@ -269,7 +280,7 @@ def numeric_optimum(
     from scipy.optimize import minimize  # on first use: slower to import than photonmol
 
     solver = normalize_solver(solver)
-    _check_coupling(j)
+    _check_inputs(kappa, j, eta=eta)
     check_int(grid_points, 2, "grid_points")
     if eps_a is None:
         eps_a = 0.01 * kappa
@@ -326,7 +337,7 @@ def numeric_optimum(
 def c10_zero_condition(kappa: float, j: float, delta: float) -> BunchingCondition:
     """Drive ratio and relative phase nulling the one-photon amplitude of
     mode A at the given detuning: eta e^{i phi} (delta - i kappa/2) = j."""
-    _check_coupling(j)
+    _check_inputs(kappa, j, delta=delta)
     pole = complex(delta, -0.5 * kappa)
     return BunchingCondition(
         phi_star=-np.angle(pole),
@@ -337,7 +348,7 @@ def c10_zero_condition(kappa: float, j: float, delta: float) -> BunchingConditio
 def bunching_phase_curve(kappa: float, j: float, eta: float) -> float:
     """Relative phase along which strong bunching appears when (delta, u)
     follow the dual-drive asymptotic optimum: phi = arctan(eta kappa / 2j)."""
-    _check_coupling(j)
+    _check_inputs(kappa, j, eta=eta)
     argument = eta * kappa / (2.0 * j)
     if argument > 0.5:
         warnings.warn(

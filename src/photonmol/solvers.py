@@ -4,8 +4,9 @@ Solver ids (as used in JSON configs and on the command line):
 
 * "MasterEquation"  exact steady state of the dissipative dynamics in a
                     truncated Fock space: by default n_a + n_b <= 3,
-                    escalating per point to 4; an integer cutoff k is the
-                    box n_a, n_b <= k,
+                    escalating per point to 4, as decided in
+                    lindblad.master_equation_grid; an integer cutoff k is
+                    the box n_a, n_b <= k,
 * "Hierarchy"       closed-form one-photon amplitudes plus the 3x3
                     two-photon system,
 * "FullTruncated"   the full 5x5 steady amplitude system.
@@ -30,7 +31,7 @@ import numpy as np
 from .amplitude import (  # noqa: F401
     full_truncated_grid, full_truncated_steady, hierarchy_grid, hierarchy_steady)
 from .errors import SolverError, check_fields, check_int, check_numbers
-from .fock import HilbertSpec, TotalSpec
+from .fock import HilbertSpec
 from .lindblad import master_equation_grid, observables, steady_state  # noqa: F401
 from .model import PARAM_FIELDS, SystemParams, liouvillian  # noqa: F401
 
@@ -41,14 +42,6 @@ SOLVER_FULL_TRUNCATED = "FullTruncated"
 SOLVERS = (SOLVER_MASTER_EQUATION, SOLVER_HIERARCHY, SOLVER_FULL_TRUNCATED)
 
 _CANONICAL = {name.lower(): name for name in SOLVERS}
-
-# Base total cutoff N of the default master-equation space n_a + n_b <= N:
-# one level above the two-photon manifold, where the weak-drive physics
-# lives. A point whose top shell carries more than lindblad.TOP_SHELL_LIMIT
-# of the g2 numerator is solved again at N + 1 (the antibunching zeros).
-DEFAULT_N_MAX = 3
-
-_DEFAULT_SPACES = (TotalSpec(DEFAULT_N_MAX), TotalSpec(DEFAULT_N_MAX + 1))
 
 # Points per stacked solve in evaluate_grid, and per task of its thread
 # pool. Bounds its temporary arrays under 1 MB however large the grid; a
@@ -70,13 +63,13 @@ def normalize_solver(name: str) -> str:
 def _kernel(solver: str, n_max: int | None):
     """solver's kernel: a function of a SystemParams, or of a chunk's field
     columns, returning (g2_a, mean_n_a, error) arrays. The one place the
-    cutoff becomes a space, so every solver refuses a bad cutoff. None is
-    the default space: total N = DEFAULT_N_MAX, escalating per point to
-    N + 1; an integer k is the box HilbertSpec(k, k)."""
+    cutoff is checked, so every solver refuses a bad cutoff. An integer k
+    is the box HilbertSpec(k, k); None is passed on as the master
+    equation's default space, which master_equation_grid decides."""
     solver = normalize_solver(solver)
-    spaces = _DEFAULT_SPACES if n_max is None else (HilbertSpec(n_max, n_max),)
+    spec = None if n_max is None else HilbertSpec(n_max, n_max)
     if solver == SOLVER_MASTER_EQUATION:
-        return lambda params: master_equation_grid(params, *spaces)
+        return lambda params: master_equation_grid(params, spec)
     return hierarchy_grid if solver == SOLVER_HIERARCHY else full_truncated_grid
 
 
@@ -87,7 +80,7 @@ def evaluate_point(
 
     A batch of one through the solver's kernel, so a point and a grid agree
     bit for bit. n_max None is the master equation's default space, total
-    N = DEFAULT_N_MAX escalating to N + 1; an integer k is the box
+    N = lindblad.DEFAULT_N_MAX escalating to N + 1; an integer k is the box
     n_a, n_b <= k. The weak-drive solvers have no cutoff but refuse a bad
     one. g2_a is None where the correlation is undefined (zero mean photon
     number); a failed point raises SolverError, as does a default-space

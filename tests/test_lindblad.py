@@ -4,6 +4,7 @@ import resource
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -401,6 +402,36 @@ def default_space_rows():
     for at, params in zip((1, 30, 31, 32, 33, 40, 63, 64, 65), escalated + failing):
         rows[at] = params
     return rows
+
+
+def test_master_equation_grid_reads_no_space_as_the_default():
+    rows = default_space_rows()
+    g2, mean_n, error = master_equation_grid(SimpleNamespace(**grid_columns(rows)))
+    for i, params in enumerate(rows):
+        try:
+            assert (g2[i], mean_n[i], error[i]) == (
+                *evaluate_point(params, "MasterEquation"), "")
+        except SolverError as err:
+            assert error[i] == str(err)
+            assert math.isnan(g2[i]) and math.isnan(mean_n[i])
+    assert np.count_nonzero(error) == len(DEFAULT_SPACE_FAILING_POINTS)
+
+
+def test_an_explicit_total_space_does_not_escalate():
+    # At this exact zero the N = 3 top shell carries about 60% of the g2
+    # numerator: the default re-solves at N = 4, TotalSpec(3) alone does not.
+    optimum = dual_drive_optimum_exact_phi0(1.0, 10.0, 3.0)
+    params = symmetric_params(10.0, delta=optimum.delta_opt, u=optimum.u_opt, eta=3.0)
+    dense = {}
+    for n_total in (3, 4):
+        spec = TotalSpec(n_total)
+        obs = observables(steady_state(liouvillian(params, spec)), spec)
+        dense[n_total] = (obs.g2_a, obs.mean_n_a, "")
+    assert dense[3][0] > 1.4 * dense[4][0]
+    g2, mean_n, error = master_equation_grid(params, TotalSpec(3))
+    assert (g2[0], mean_n[0], error[0]) == dense[3]
+    g2, mean_n, error = master_equation_grid(params)
+    assert (g2[0], mean_n[0], error[0]) == dense[4]
 
 
 @pytest.mark.parametrize("table_block, grid_chunk", [

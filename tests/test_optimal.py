@@ -352,6 +352,40 @@ def test_conditions_reject_non_positive_coupling(call):
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: dual_drive_optimum_exact_phi0(0.0, 10.0, 3.0), "kappa must be positive"),
+    (lambda: dual_drive_optimum_exact_phi0(-1.0, 10.0, 3.0), "kappa must be positive"),
+    (lambda: single_drive_optimum(-1.0, 10.0), "kappa must be positive"),
+    (lambda: single_drive_optimum(math.inf, 10.0), "kappa must be positive and finite"),
+    (lambda: c10_zero_condition(math.nan, 10.0, 0.5), "kappa must be positive"),
+    (lambda: dual_drive_optimum_asymptotic(1.0, 10.0, math.nan), "eta must not be NaN"),
+    (lambda: bunching_phase_curve(1.0, 10.0, math.nan), "eta must not be NaN"),
+    (lambda: numeric_optimum(1.0, 10.0, math.nan, 0.0), "eta must not be NaN"),
+    (lambda: c10_zero_condition(1.0, 10.0, math.nan), "delta must not be NaN"),
+    (lambda: numeric_optimum(1.0, "10", 3.0, 0.0), "coupling strength j must be a number"),
+    (lambda: bunching_phase_curve(1.0, "x", 3.0), "coupling strength j must be a number"),
+    (lambda: single_drive_optimum("1", 10.0), "kappa must be a number"),
+    (lambda: dual_drive_optimum_asymptotic(1.0, 10.0, "3"), "eta must be a number"),
+    (lambda: c10_zero_condition(1.0, 10.0, None), "delta must be a number"),
+], ids=["exact_kappa_zero", "exact_kappa_negative", "single_kappa_negative",
+        "single_kappa_inf", "c10_kappa_nan", "dual_asymptotic_eta_nan", "bunching_eta_nan",
+        "numeric_eta_nan", "c10_delta_nan", "numeric_j_string", "bunching_j_string",
+        "single_kappa_string", "dual_asymptotic_eta_string", "c10_delta_none"])
+def test_optima_refuse_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_optima_keep_an_infinite_drive_ratio():
+    # Mode A driven alone: sweeps with eps_b = 0 reach the dual-drive rule
+    # with eta = inf, and its NaN Kerr strength fails the row, not the call.
+    with pytest.warns(UserWarning, match="dual-drive asymptotics"):
+        opt = dual_drive_optimum_asymptotic(1.0, 10.0, math.inf)
+    assert opt.delta_opt == 0.0 and math.isnan(opt.u_opt)
+    with pytest.warns(UserWarning, match="bunching phase curve"):
+        assert bunching_phase_curve(1.0, 10.0, math.inf) == math.pi / 2
+
+
 @pytest.mark.parametrize("grid_points", [1, 3.0, True])
 def test_numeric_optimum_rejects_bad_grid_points(grid_points):
     with pytest.raises(ValueError, match="grid_points"):

@@ -180,6 +180,19 @@ def test_sweep_errors_recorded_per_point():
     assert all(r.g2_a is not None for r in rows if not r.error)
 
 
+@pytest.mark.filterwarnings("ignore:dual-drive asymptotics:UserWarning")
+def test_sweep_rows_with_mode_a_driven_alone():
+    # eta_inv = 0 leaves eps_b = 0, so the dual-drive rules see eta = inf:
+    # delta_opt is 0.0 and the NaN u_opt fails only its own rows.
+    base = SystemParams(coupling_j=10.0, eps_a=0.01)
+    delta_rows = sweep_rows(base, ("eta_inv", [0.0, 0.1]), ("phi", [0.0]),
+                            ("delta := dual_drive_delta",), "Hierarchy")
+    assert [(r.error, r.delta) for r in delta_rows] == [("", 0.0), ("", 1.0)]
+    rows = sweep_rows(base, ("eta_inv", [0.0, 0.1]), ("phi", [0.0]),
+                      ("delta := dual_drive_delta", "u := dual_drive_u"), "Hierarchy")
+    assert [r.error for r in rows] == ["parameters must be finite: u_a=nan, u_b=nan", ""]
+
+
 def test_undefined_g2_serialized_as_empty_cell(tmp_path):
     config = SweepConfig(
         base=SystemParams(coupling_j=3.0),  # undriven: no one-photon amplitude
